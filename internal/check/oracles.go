@@ -59,6 +59,11 @@ func (o *seqOracle) Aseq(c *Checker, e *ghostcore.Enclave, a *ghostcore.Agent, o
 type statusWordOracle struct {
 	Base
 	latched map[*kernel.Thread]hw.CPUID
+	// claimed[cpu] == gen marks cpu as claimed OnCpu in the current
+	// enclave scan; gen advances per scan, so the scratch is never
+	// cleared and the scan allocates nothing.
+	claimed []uint64
+	gen     uint64
 }
 
 func newStatusWordOracle() *statusWordOracle {
@@ -70,10 +75,15 @@ func (o *statusWordOracle) Name() string { return "status-word" }
 func (o *statusWordOracle) SwitchIn(c *Checker, cpu *kernel.CPU, t *kernel.Thread) {
 	// Scan every live enclave's status words: OnCpu threads must be
 	// Running, and no CPU may carry two OnCpu claims. The switch hook
-	// runs between events, so the snapshot is consistent.
+	// runs between events, so the snapshot is consistent. The scan runs
+	// on every context switch, so it allocates only to report.
+	if o.claimed == nil {
+		o.claimed = make([]uint64, c.k.NumCPUs())
+	}
 	for _, e := range c.Ghost().Enclaves() {
-		var byCPU map[hw.CPUID][]kernel.TID
-		for _, th := range e.Threads() {
+		o.gen++
+		dup := false
+		for _, th := range e.ThreadsView() {
 			sw := e.StatusWord(th)
 			if sw == nil || !sw.OnCPU {
 				continue
@@ -82,26 +92,36 @@ func (o *statusWordOracle) SwitchIn(c *Checker, cpu *kernel.CPU, t *kernel.Threa
 				c.Reportf(o, "enc%d thread %d status word claims OnCpu (cpu%d) but state is %v",
 					e.ID(), th.TID(), sw.CPU, th.State())
 			}
-			if byCPU == nil {
-				byCPU = make(map[hw.CPUID][]kernel.TID)
+			if i := int(sw.CPU); i < 0 || i >= len(o.claimed) || o.claimed[i] == o.gen {
+				dup = true // a second claim, or one out of range: the exact pass judges
+			} else {
+				o.claimed[i] = o.gen
 			}
+		}
+		if dup {
+			o.reportDuplicates(c, e)
+		}
+	}
+}
+
+// reportDuplicates reports every CPU of e that more than one status word
+// claims OnCpu, in CPU order, each with its claimants in TID order.
+func (o *statusWordOracle) reportDuplicates(c *Checker, e *ghostcore.Enclave) {
+	byCPU := make(map[hw.CPUID][]kernel.TID)
+	for _, th := range e.ThreadsView() {
+		if sw := e.StatusWord(th); sw != nil && sw.OnCPU {
 			byCPU[sw.CPU] = append(byCPU[sw.CPU], th.TID())
 		}
-		if byCPU == nil {
-			continue
-		}
-		cpus := make([]int, 0, len(byCPU))
-		for swCPU := range byCPU {
-			cpus = append(cpus, int(swCPU))
-		}
-		sort.Ints(cpus)
-		for _, swCPU := range cpus {
-			// tids come from the TID-sorted Threads() walk, so the
-			// message is deterministic.
-			if tids := byCPU[hw.CPUID(swCPU)]; len(tids) > 1 {
-				c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
-					e.ID(), len(tids), swCPU, tids)
-			}
+	}
+	cpus := make([]int, 0, len(byCPU))
+	for swCPU := range byCPU {
+		cpus = append(cpus, int(swCPU))
+	}
+	sort.Ints(cpus)
+	for _, swCPU := range cpus {
+		if tids := byCPU[hw.CPUID(swCPU)]; len(tids) > 1 {
+			c.Reportf(o, "enc%d: %d threads claim OnCpu for cpu%d: %v",
+				e.ID(), len(tids), swCPU, tids)
 		}
 	}
 }
@@ -370,7 +390,7 @@ func (o *lostThreadOracle) Finish(c *Checker, now sim.Time) {
 			// the upgrade timeout, not this oracle, bounds that state.
 			continue
 		}
-		for _, t := range e.Threads() {
+		for _, t := range e.ThreadsView() {
 			runnable, latched := e.DebugThreadState(t)
 			if !runnable || latched {
 				// A latched thread has a committed install in flight.

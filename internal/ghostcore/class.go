@@ -2,6 +2,7 @@ package ghostcore
 
 import (
 	"fmt"
+	"slices"
 
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
@@ -45,6 +46,7 @@ type Class struct {
 	inflight []*kernel.Thread // per-CPU committed thread, IPI in flight
 
 	enclaves  []*Enclave
+	live      []*Enclave // enclaves not yet destroyed; copied on removal
 	nextEncID int
 
 	// pendingEnclave routes ThreadAttached during Enclave.AddThread.
@@ -123,7 +125,8 @@ func (g *Class) ThreadAttached(t *kernel.Thread) {
 	}
 	gt := &ghostThread{enc: enc, q: enc.defaultQueue}
 	t.Ghost = gt
-	enc.threads[t.TID()] = t
+	i, _ := enc.threadIndex(t.TID())
+	enc.threads = slices.Insert(enc.threads, i, t)
 	g.postThreadMsg(t, MsgThreadCreated)
 }
 
@@ -136,7 +139,9 @@ func (g *Class) ThreadDetached(t *kernel.Thread, r kernel.DequeueReason) {
 	}
 	g.clearSlot(t)
 	g.postThreadMsg(t, MsgThreadDead)
-	delete(gt.enc.threads, t.TID())
+	if i, ok := gt.enc.threadIndex(t.TID()); ok {
+		gt.enc.threads = slices.Delete(gt.enc.threads, i, i+1)
+	}
 	gt.runnable = false
 	t.Ghost = nil
 }
@@ -386,16 +391,9 @@ func (g *Class) enclaveByID(id int) *Enclave {
 	return nil
 }
 
-// Enclaves returns the live enclaves.
-func (g *Class) Enclaves() []*Enclave {
-	var out []*Enclave
-	for _, e := range g.enclaves {
-		if !e.destroyed {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+// Enclaves returns the live enclaves in creation order. The slice is the
+// class's own: callers must not modify it.
+func (g *Class) Enclaves() []*Enclave { return g.live }
 
 func (g *Class) String() string {
 	return fmt.Sprintf("ghost{enclaves=%d msgs=%d txns=%d/%d}",

@@ -1,8 +1,9 @@
 package ghostcore
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
@@ -50,8 +51,9 @@ type Enclave struct {
 	defaultQueue *Queue
 	queues       []*Queue
 
-	threads map[kernel.TID]*kernel.Thread
-	agents  map[hw.CPUID]*Agent
+	threads []*kernel.Thread // managed threads, strictly TID-ordered
+	agents  []*Agent         // attached agents, indexed by CPU
+	nagents int              // non-nil entries of agents
 
 	bpf BPFProgram
 
@@ -85,12 +87,11 @@ func NewEnclave(g *Class, cpus kernel.Mask) *Enclave {
 		panic("ghostcore: enclave with no CPUs")
 	}
 	e := &Enclave{
-		id:      g.nextEncID,
-		g:       g,
-		k:       g.k,
-		cpus:    cpus,
-		threads: make(map[kernel.TID]*kernel.Thread),
-		agents:  make(map[hw.CPUID]*Agent),
+		id:     g.nextEncID,
+		g:      g,
+		k:      g.k,
+		cpus:   cpus,
+		agents: make([]*Agent, g.k.NumCPUs()),
 	}
 	g.nextEncID++
 	cpus.ForEach(func(c hw.CPUID) bool {
@@ -102,6 +103,7 @@ func NewEnclave(g *Class, cpus kernel.Mask) *Enclave {
 	})
 	e.defaultQueue = e.CreateQueue("default")
 	g.enclaves = append(g.enclaves, e)
+	g.live = append(g.live, e)
 	return e
 }
 
@@ -201,17 +203,22 @@ func (e *Enclave) SpawnThread(opts kernel.SpawnOpts, body kernel.ThreadFunc) *ke
 	return t
 }
 
-// Threads returns the threads currently managed by the enclave, in TID
-// order (map order would leak scheduling nondeterminism into upgrade
-// rebuilds and the destroy fallback). A new agent generation uses this
-// to rebuild its state after an upgrade.
+// Threads returns a copy of the threads currently managed by the
+// enclave, in TID order, for callers that change the set while walking
+// it or keep the result.
 func (e *Enclave) Threads() []*kernel.Thread {
-	out := make([]*kernel.Thread, 0, len(e.threads))
-	for _, t := range e.threads {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TID() < out[j].TID() })
-	return out
+	return append([]*kernel.Thread(nil), e.threads...)
+}
+
+// ThreadsView returns the managed threads in TID order without copying.
+// The slice is the enclave's own: callers must not modify it, and it is
+// valid only until a thread joins or leaves the enclave. A new agent
+// generation walks it to rebuild its state after an upgrade.
+func (e *Enclave) ThreadsView() []*kernel.Thread { return e.threads }
+
+// threadIndex returns where tid sits (or would sit) in e.threads.
+func (e *Enclave) threadIndex(tid kernel.TID) (int, bool) {
+	return slices.BinarySearchFunc(e.threads, tid, func(t *kernel.Thread, tid kernel.TID) int { return cmp.Compare(t.TID(), tid) })
 }
 
 // RunnableThreads returns managed threads that are runnable and waiting
@@ -223,7 +230,6 @@ func (e *Enclave) RunnableThreads() []*kernel.Thread {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TID() < out[j].TID() })
 	return out
 }
 
@@ -254,6 +260,9 @@ func (e *Enclave) AttachAgent(cpu hw.CPUID, t *kernel.Thread) *Agent {
 	// Aseq starts at 1 so that 0 always means "no sequence check".
 	a := &Agent{enc: e, cpu: cpu, thread: t, attached: true, aseq: 1}
 	a.sw.Seq = 1
+	if e.agents[cpu] == nil {
+		e.nagents++
+	}
 	e.agents[cpu] = a
 	if e.upgradePending {
 		e.upgradePending = false
@@ -276,9 +285,10 @@ func (e *Enclave) DetachAgent(a *Agent) {
 	}
 	a.attached = false
 	if e.agents[a.cpu] == a {
-		delete(e.agents, a.cpu)
+		e.agents[a.cpu] = nil
+		e.nagents--
 	}
-	if len(e.agents) == 0 && !e.upgradePending && !e.destroyed {
+	if e.nagents == 0 && !e.upgradePending && !e.destroyed {
 		e.DestroyWith(fmt.Errorf("%w: all agents exited", ErrAgentCrash))
 	}
 }
@@ -324,32 +334,35 @@ func (e *Enclave) upgradeTimedOut() {
 	if tr := e.k.Tracer(); tr != nil {
 		tr.EnclaveEvent(e.k.Now(), e.id, "upgrade-timeout", "")
 	}
-	if len(e.agents) == 0 {
+	if e.nagents == 0 {
 		e.DestroyWith(ErrUpgradeTimeout)
 	}
 }
 
 // AgentsAttached reports how many agents are currently attached; new
 // agent generations epoll on this reaching zero before taking over.
-func (e *Enclave) AgentsAttached() int { return len(e.agents) }
+func (e *Enclave) AgentsAttached() int { return e.nagents }
+
+// agentOn returns the agent attached on cpu, nil if none.
+func (e *Enclave) agentOn(cpu hw.CPUID) *Agent {
+	if cpu < 0 || int(cpu) >= len(e.agents) {
+		return nil
+	}
+	return e.agents[cpu]
+}
 
 // tickQueue picks the queue receiving cpu's TIMER_TICK messages.
 func (e *Enclave) tickQueue(cpu hw.CPUID) *Queue {
-	if a, ok := e.agents[cpu]; ok && a.queue != nil {
+	if a := e.agentOn(cpu); a != nil && a.queue != nil {
 		return a.queue
 	}
 	// Centralized model: ticks flow to whichever queue the (single)
-	// attached agent consumes, else the default queue. Fold to the
-	// lowest-CPU agent so multi-agent enclaves pick the same queue on
-	// every run regardless of map iteration order.
-	best := hw.NoCPU
-	for cpu, a := range e.agents {
-		if a.queue != nil && (best == hw.NoCPU || cpu < best) {
-			best = cpu
+	// attached agent consumes, else the default queue. Multi-agent
+	// enclaves take the lowest-CPU agent's queue.
+	for _, a := range e.agents {
+		if a != nil && a.queue != nil {
+			return a.queue
 		}
-	}
-	if best != hw.NoCPU {
-		return e.agents[best].queue
 	}
 	return e.defaultQueue
 }
@@ -765,6 +778,8 @@ func (e *Enclave) DestroyWith(cause error) {
 	}
 	e.destroyed = true
 	e.destroyCause = cause
+	// Copy rather than delete in place: a caller may hold Enclaves().
+	e.g.live = slices.DeleteFunc(slices.Clone(e.g.live), func(le *Enclave) bool { return le == e })
 	if tr := e.k.Tracer(); tr != nil {
 		tr.EnclaveEvent(e.k.Now(), e.id, "destroy", cause.Error())
 	}
@@ -795,29 +810,27 @@ func (e *Enclave) DestroyWith(cause error) {
 		e.g.cpuOwner[c] = nil
 		return true
 	})
-	// Kill agents in CPU order: each Kill schedules kernel work, so
-	// map-order iteration would leak into the event sequence.
-	cpus := make([]int, 0, len(e.agents))
-	for cpu := range e.agents {
-		cpus = append(cpus, int(cpu))
-	}
-	sort.Ints(cpus)
-	for _, cpu := range cpus {
-		a := e.agents[hw.CPUID(cpu)]
+	// Kill agents in CPU order: each Kill schedules kernel work, so the
+	// order shows in the event sequence.
+	for cpu, a := range e.agents {
+		if a == nil {
+			continue
+		}
 		a.attached = false
 		if a.thread != nil {
 			e.k.Kill(a.thread)
 		}
+		e.agents[cpu] = nil
 	}
-	e.agents = map[hw.CPUID]*Agent{}
+	e.nagents = 0
 	// Threads fall back to the default scheduler, still fully
 	// functional (§3.4).
-	for _, t := range e.Threads() {
+	for _, t := range managed {
 		if t.State() != kernel.StateDead {
 			e.k.SetClass(t, e.g.fallback)
 		}
 	}
-	e.threads = map[kernel.TID]*kernel.Thread{}
+	e.threads = nil
 	e.g.obsDestroyed(e, cause, managed)
 }
 
@@ -846,10 +859,10 @@ func (e *Enclave) watchdogCheck(now sim.Time) {
 	if e.destroyed {
 		return
 	}
-	// Sorted iteration (Threads): the destroy reason names the first
-	// starved thread, and that choice must not follow map order into the
-	// trace.
-	for _, t := range e.Threads() {
+	// TID order: the destroy reason names the first starved thread, and
+	// that choice must be reproducible. DestroyWith empties e.threads, so
+	// the walk returns right after it.
+	for _, t := range e.threads {
 		gt := gstate(t)
 		if gt != nil && gt.runnable && !gt.latched && now-gt.runnableSince > e.WatchdogTimeout {
 			if tr := e.k.Tracer(); tr != nil {

@@ -1,8 +1,6 @@
 package ghostcore
 
 import (
-	"sort"
-
 	"fmt"
 
 	"ghost/internal/hw"
@@ -172,7 +170,7 @@ func (e *Enclave) saveRec() (EnclaveRec, error) {
 		}
 		rec.Queues = append(rec.Queues, qr)
 	}
-	for _, t := range e.Threads() {
+	for _, t := range e.threads {
 		gt := gstate(t)
 		if gt == nil {
 			continue
@@ -202,8 +200,10 @@ func (e *Enclave) saveRec() (EnclaveRec, error) {
 		}
 		rec.Threads = append(rec.Threads, tr)
 	}
-	for _, cpu := range agentCPUs(e.agents) {
-		a := e.agents[cpu]
+	for cpu, a := range e.agents {
+		if a == nil {
+			continue
+		}
 		ar := AgentRec{CPU: int(cpu), Aseq: a.aseq, SW: a.sw, Attached: a.attached, Queue: -1}
 		if a.thread != nil {
 			ar.TID = int(a.thread.TID())
@@ -218,16 +218,6 @@ func (e *Enclave) saveRec() (EnclaveRec, error) {
 		rec.Agents = append(rec.Agents, ar)
 	}
 	return rec, nil
-}
-
-// agentCPUs returns the map keys in ascending CPU order.
-func agentCPUs(m map[hw.CPUID]*Agent) []hw.CPUID {
-	out := make([]hw.CPUID, 0, len(m))
-	for cpu := range m {
-		out = append(out, cpu)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // SetNextEncID pins the id the next NewEnclave call will use, so restore
@@ -312,12 +302,6 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 		return fmt.Errorf("enclave %d: %d queues after re-spawn, snapshot has %d", e.id, len(e.queues), len(rec.Queues))
 	}
 	e.tickless = rec.Tickless
-	agentAt := func(cpu int) *Agent {
-		if cpu < 0 {
-			return nil
-		}
-		return e.agents[hw.CPUID(cpu)]
-	}
 	for i, qr := range rec.Queues {
 		q := e.queues[i]
 		if q.name != qr.Name {
@@ -328,14 +312,14 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 		for _, m := range qr.Msgs {
 			q.enqueue(m)
 		}
-		q.wakeAgent = agentAt(qr.WakeCPU)
-		q.seqAgent = agentAt(qr.SeqCPU)
+		q.wakeAgent = e.agentOn(hw.CPUID(qr.WakeCPU))
+		q.seqAgent = e.agentOn(hw.CPUID(qr.SeqCPU))
 		if (qr.WakeCPU >= 0 && q.wakeAgent == nil) || (qr.SeqCPU >= 0 && q.seqAgent == nil) {
 			return fmt.Errorf("enclave %d: queue %q references a missing agent", e.id, q.name)
 		}
 	}
 	for _, ar := range rec.Agents {
-		a := e.agents[hw.CPUID(ar.CPU)]
+		a := e.agentOn(hw.CPUID(ar.CPU))
 		if a == nil {
 			return fmt.Errorf("enclave %d: agent on cpu%d missing after re-spawn", e.id, ar.CPU)
 		}
@@ -348,11 +332,11 @@ func (e *Enclave) restoreRec(rec *EnclaveRec) error {
 		}
 	}
 	for _, tr := range rec.Threads {
-		t := e.threads[kernel.TID(tr.TID)]
-		if t == nil {
+		i, ok := e.threadIndex(kernel.TID(tr.TID))
+		if !ok {
 			return fmt.Errorf("enclave %d: managed thread T%d missing after re-spawn", e.id, tr.TID)
 		}
-		gt := gstate(t)
+		gt := gstate(e.threads[i])
 		if gt == nil {
 			return fmt.Errorf("enclave %d: thread T%d lost its ghOSt state", e.id, tr.TID)
 		}
@@ -428,7 +412,7 @@ func (g *Class) EventForKind(kind string, args []int64) (afn func(any), arg any,
 	}
 	var a *Agent
 	if args[4] >= 0 {
-		a = e.agents[hw.CPUID(args[4])]
+		a = e.agentOn(hw.CPUID(args[4]))
 		if a == nil {
 			return nil, nil, false
 		}

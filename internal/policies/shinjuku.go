@@ -1,8 +1,6 @@
 package policies
 
 import (
-	"sort"
-
 	"ghost/internal/agentsdk"
 	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
@@ -35,13 +33,9 @@ type Shinjuku struct {
 	tr      *Tracker
 	fifo    []*TState // latency-critical runnable FIFO
 	batchq  []*TState
-	running map[hw.CPUID]*TState // latency threads the policy placed
-	batchOn map[hw.CPUID]*TState // batch threads the policy placed
+	running placements // latency threads the policy placed
+	batchOn placements // batch threads the policy placed
 	tun     *tunable.Set
-
-	// runningSorted scratch, reused every scheduling step.
-	cpuScratch []int
-	runScratch []*TState
 
 	// ctx is retained from Attach for snapshot TID resolution.
 	ctx *agentsdk.Context
@@ -67,8 +61,7 @@ func (p *Shinjuku) isBatch(t *kernel.Thread) bool {
 // Attach implements agentsdk.GlobalPolicy.
 func (p *Shinjuku) Attach(ctx *agentsdk.Context) {
 	p.ctx = ctx
-	p.running = make(map[hw.CPUID]*TState)
-	p.batchOn = make(map[hw.CPUID]*TState)
+	p.running, p.batchOn = nil, nil
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {
 		p.clearPlacement(ts)
@@ -86,11 +79,11 @@ func (p *Shinjuku) clearPlacement(ts *TState) {
 		return
 	}
 	cpu := hw.CPUID(ts.CPU)
-	if p.running[cpu] == ts {
-		delete(p.running, cpu)
+	if p.running.at(cpu) == ts {
+		p.running.set(cpu, nil)
 	}
-	if p.batchOn[cpu] == ts {
-		delete(p.batchOn, cpu)
+	if p.batchOn.at(cpu) == ts {
+		p.batchOn.set(cpu, nil)
 	}
 	ts.CPU = -1
 }
@@ -152,9 +145,9 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	place := func(ts *TState, cpu hw.CPUID, batch bool) {
 		p.tr.MarkScheduled(ts, int(cpu), now)
 		if batch {
-			p.batchOn[cpu] = ts
+			p.batchOn.set(cpu, ts)
 		} else {
-			p.running[cpu] = ts
+			p.running.set(cpu, ts)
 		}
 		out = append(out, agentsdk.Assignment{Thread: ts.Thread, CPU: cpu})
 	}
@@ -183,18 +176,19 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 		if ts == nil {
 			break
 		}
-		delete(p.batchOn, victim)
+		p.batchOn.set(victim, nil)
 		place(ts, victim, false)
 	}
 
-	// 3. Timeslice expiry: round-robin preemption of long requests.
+	// 3. Timeslice expiry: round-robin preemption of long requests, in
+	// CPU order. A preemption replaces only the entry being visited, so
+	// the walk never sees the thread it just placed.
 	if len(p.fifo) > 0 {
-		for cpu, cur := range p.runningSorted() {
-			_ = cpu
+		for _, cur := range p.running {
 			if len(p.fifo) == 0 || full() {
 				break
 			}
-			if now-cur.LastStart < p.Slice {
+			if cur == nil || now-cur.LastStart < p.Slice {
 				continue
 			}
 			tgt := hw.CPUID(cur.CPU)
@@ -204,7 +198,6 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 			}
 			// The commit preempts cur; its THREAD_PREEMPTED message
 			// re-enqueues it at the back of the FIFO.
-			delete(p.running, tgt)
 			place(ts, tgt, false)
 		}
 	}
@@ -226,33 +219,14 @@ func (p *Shinjuku) Schedule(ctx *agentsdk.Context) []agentsdk.Assignment {
 	return out
 }
 
-// runningSorted returns running latency threads in deterministic CPU
-// order (map iteration is randomized; commits must be reproducible).
-// The slice is scratch, valid until the next call.
-func (p *Shinjuku) runningSorted() []*TState {
-	cpus := p.cpuScratch[:0]
-	for cpu := range p.running {
-		cpus = append(cpus, int(cpu))
-	}
-	sort.Ints(cpus)
-	out := p.runScratch[:0]
-	for _, cpu := range cpus {
-		out = append(out, p.running[hw.CPUID(cpu)])
-	}
-	p.cpuScratch, p.runScratch = cpus, out
-	return out
-}
-
+// anyBatchCPU returns the lowest CPU running a placed batch thread.
 func (p *Shinjuku) anyBatchCPU() (hw.CPUID, bool) {
-	best := hw.NoCPU
 	for cpu, ts := range p.batchOn {
-		if ts.Thread.State() == kernel.StateRunning {
-			if best == hw.NoCPU || cpu < best {
-				best = cpu
-			}
+		if ts != nil && ts.Thread.State() == kernel.StateRunning {
+			return hw.CPUID(cpu), true
 		}
 	}
-	return best, best != hw.NoCPU
+	return hw.NoCPU, false
 }
 
 // nextExpiry returns the time until the earliest running thread exceeds
@@ -260,6 +234,9 @@ func (p *Shinjuku) anyBatchCPU() (hw.CPUID, bool) {
 func (p *Shinjuku) nextExpiry(now sim.Time) sim.Duration {
 	var min sim.Duration
 	for _, ts := range p.running {
+		if ts == nil {
+			continue
+		}
 		d := ts.LastStart + p.Slice - now
 		if d < sim.Microsecond {
 			d = sim.Microsecond

@@ -109,32 +109,32 @@ func resolveQueue(tr *Tracker, tids []int) ([]*TState, error) {
 	return out, nil
 }
 
-// placementPairs serializes a cpu→state map as (cpu, tid) pairs in CPU
-// order.
-func placementPairs(m map[hw.CPUID]*TState) [][2]int {
-	cpus := make([]int, 0, len(m))
-	for cpu := range m {
-		cpus = append(cpus, int(cpu))
-	}
-	sort.Ints(cpus)
-	out := make([][2]int, 0, len(cpus))
-	for _, cpu := range cpus {
-		out = append(out, [2]int{cpu, int(m[hw.CPUID(cpu)].Thread.TID())})
+// pairs serializes the placements as (cpu, tid) pairs in CPU order.
+func (pl placements) pairs() [][2]int {
+	var out [][2]int
+	for cpu, ts := range pl {
+		if ts != nil {
+			out = append(out, [2]int{cpu, int(ts.Thread.TID())})
+		}
 	}
 	return out
 }
 
-// resolvePlacements rebuilds a cpu→state map from (cpu, tid) pairs.
-func resolvePlacements(tr *Tracker, pairs [][2]int) (map[hw.CPUID]*TState, error) {
-	m := make(map[hw.CPUID]*TState, len(pairs))
+// resolvePlacements rebuilds placements from (cpu, tid) pairs on a
+// machine of ncpu CPUs.
+func resolvePlacements(tr *Tracker, pairs [][2]int, ncpu int) (placements, error) {
+	var pl placements
 	for _, pair := range pairs {
+		if pair[0] < 0 || pair[0] >= ncpu {
+			return nil, fmt.Errorf("placement on cpu%d, outside the machine", pair[0])
+		}
 		ts := tr.Threads[kernel.TID(pair[1])]
 		if ts == nil {
 			return nil, fmt.Errorf("placement on cpu%d refers to untracked T%d", pair[0], pair[1])
 		}
-		m[hw.CPUID(pair[0])] = ts
+		pl.set(hw.CPUID(pair[0]), ts)
 	}
-	return m, nil
+	return pl, nil
 }
 
 // --- CentralFIFO ---
@@ -162,7 +162,7 @@ func (p *CentralFIFO) SnapshotSave() ([]byte, error) {
 		Quantum:      int64(p.Quantum),
 		Tracker:      saveTracker(p.tr),
 		Queues:       make([][]int, len(p.queues)),
-		Running:      placementPairs(p.running),
+		Running:      p.running.pairs(),
 	}
 	for b, q := range p.queues {
 		st.Queues[b] = queueTIDs(q)
@@ -191,7 +191,7 @@ func (p *CentralFIFO) SnapshotLoad(data []byte) error {
 		}
 		p.queues[b] = q
 	}
-	running, err := resolvePlacements(p.tr, st.Running)
+	running, err := resolvePlacements(p.tr, st.Running, p.ctx.Kernel.NumCPUs())
 	if err != nil {
 		return fmt.Errorf("central-fifo: %w", err)
 	}
@@ -225,8 +225,8 @@ func (p *Shinjuku) SnapshotSave() ([]byte, error) {
 		Tracker:    saveTracker(p.tr),
 		FIFO:       queueTIDs(p.fifo),
 		BatchQ:     queueTIDs(p.batchq),
-		Running:    placementPairs(p.running),
-		BatchOn:    placementPairs(p.batchOn),
+		Running:    p.running.pairs(),
+		BatchOn:    p.batchOn.pairs(),
 	}
 	return json.Marshal(st)
 }
@@ -249,10 +249,11 @@ func (p *Shinjuku) SnapshotLoad(data []byte) error {
 	if p.batchq, err = resolveQueue(p.tr, st.BatchQ); err != nil {
 		return fmt.Errorf("shinjuku batchq: %w", err)
 	}
-	if p.running, err = resolvePlacements(p.tr, st.Running); err != nil {
+	ncpu := p.ctx.Kernel.NumCPUs()
+	if p.running, err = resolvePlacements(p.tr, st.Running, ncpu); err != nil {
 		return fmt.Errorf("shinjuku: %w", err)
 	}
-	if p.batchOn, err = resolvePlacements(p.tr, st.BatchOn); err != nil {
+	if p.batchOn, err = resolvePlacements(p.tr, st.BatchOn, ncpu); err != nil {
 		return fmt.Errorf("shinjuku: %w", err)
 	}
 	return nil

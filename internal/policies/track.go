@@ -13,6 +13,7 @@ package policies
 import (
 	"ghost/internal/agentsdk"
 	"ghost/internal/ghostcore"
+	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
 )
@@ -59,7 +60,7 @@ func NewTracker() *Tracker {
 // Rebuild seeds the tracker from an enclave's current threads (used on
 // agent upgrade, §3.4).
 func (tr *Tracker) Rebuild(ctx *agentsdk.Context) {
-	for _, t := range ctx.Enclave.Threads() {
+	for _, t := range ctx.Enclave.ThreadsView() {
 		ts := tr.get(t)
 		if sw := ctx.Enclave.StatusWord(t); sw != nil && sw.Runnable {
 			ts.Runnable = true
@@ -152,6 +153,27 @@ func (tr *Tracker) HandleMessage(ctx *agentsdk.Context, m ghostcore.Message) {
 	case ghostcore.MsgThreadAffinity:
 		// Mask is read directly from the thread when scheduling.
 	}
+}
+
+// placements records which tracked thread a policy put on each CPU. It
+// is indexed by CPU, so a walk visits CPUs in order with no map
+// iteration and no sort; a nil entry means no placement.
+type placements []*TState
+
+// at returns the placement on cpu, nil if none.
+func (pl placements) at(cpu hw.CPUID) *TState {
+	if cpu < 0 || int(cpu) >= len(pl) {
+		return nil
+	}
+	return pl[cpu]
+}
+
+// set places ts on cpu (nil clears it), growing the index as needed.
+func (pl *placements) set(cpu hw.CPUID, ts *TState) {
+	for int(cpu) >= len(*pl) {
+		*pl = append(*pl, nil)
+	}
+	(*pl)[cpu] = ts
 }
 
 // MarkScheduled records a commit the policy just made.

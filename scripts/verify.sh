@@ -23,6 +23,9 @@ go run ./cmd/ghost-lint -escape -summary ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== perfbench module (separate module: gofmt, vet, digest and serve-oracles == serve-shinjuku tests)"
+(cd perfbench && test -z "$(gofmt -l .)" && go vet ./... && go test ./...)
+
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
