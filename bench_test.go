@@ -168,12 +168,12 @@ func traceOverheadRun(b *testing.B, opts ...ghost.MachineOption) {
 	enc := m.NewEnclave(ghost.MaskOf(1, 2, 3, 4, 5, 6, 7))
 	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
 	for i := 0; i < 16; i++ {
-		m.Spawn(ghost.ThreadOpts{Name: "w", Class: ghost.Ghost(enc)}, func(tc *ghost.Task) {
+		m.Spawn(ghost.ThreadOpts{Name: "w", Class: ghost.Ghost(enc)}, ghost.Sequential(func(tc *ghost.SeqTask) {
 			for {
 				tc.Run(5 * ghost.Microsecond)
 				tc.Sleep(10 * ghost.Microsecond)
 			}
-		})
+		}))
 	}
 	m.Run(5 * ghost.Millisecond)
 }

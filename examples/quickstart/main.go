@@ -20,17 +20,34 @@ func main() {
 	enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3, 4, 5, 6, 7))
 	agents := m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
 
-	// Spawn ghOSt-managed threads: each serves 5 "requests".
+	// Spawn ghOSt-managed threads: each serves 60 "requests" (20µs of
+	// work, then a 50µs wait). A thread body is resumable: the kernel
+	// calls it at spawn and whenever its last action completes, and it
+	// returns the thread's next action.
 	for i := 0; i < 16; i++ {
-		i := i
+		actions := 0
 		m.Spawn(ghost.ThreadOpts{Name: fmt.Sprintf("worker-%d", i), Class: ghost.Ghost(enc)},
-			func(tc *ghost.Task) {
-				for r := 0; r < 60; r++ {
-					tc.Run(20 * ghost.Microsecond) // do work
-					tc.Sleep(50 * ghost.Microsecond)
+			func(tc *ghost.Task) ghost.Op {
+				if actions == 2*60 {
+					return tc.Exit()
 				}
+				actions++
+				if actions%2 == 1 {
+					return tc.Run(20 * ghost.Microsecond) // do work
+				}
+				return tc.Sleep(50 * ghost.Microsecond)
 			})
 	}
+
+	// The same body written straight-line, through the Sequential
+	// adapter (one goroutine per thread, so keep it to small programs):
+	//
+	//	m.Spawn(opts, ghost.Sequential(func(tc *ghost.SeqTask) {
+	//		for r := 0; r < 60; r++ {
+	//			tc.Run(20 * ghost.Microsecond)
+	//			tc.Sleep(50 * ghost.Microsecond)
+	//		}
+	//	}))
 
 	m.Run(2 * ghost.Millisecond)
 	fmt.Printf("after 2ms: %d transactions committed, %d messages delivered (p50 %v)\n",

@@ -29,6 +29,7 @@ import (
 	"ghost/internal/ghostcore"
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
+	"ghost/internal/sequential"
 	"ghost/internal/sim"
 	"ghost/internal/stats"
 	"ghost/internal/trace"
@@ -89,10 +90,19 @@ type (
 	Kernel = kernel.Kernel
 	// Thread is a simulated native thread.
 	Thread = kernel.Thread
-	// Task is the context a thread body uses to run/block/yield.
+	// Task is a thread body's handle on the kernel; its Run, Block,
+	// Sleep, Yield and Exit build the body's next Op.
 	Task = kernel.TaskContext
-	// ThreadFunc is a thread body.
+	// ThreadFunc is a resumable thread body: the kernel calls it at
+	// Spawn and at each resume point (a Run or Yield done, a Block woken),
+	// and it returns the thread's next Op. Plain Go code inside a call
+	// takes no simulated time. Write straight-line bodies with
+	// Sequential instead.
 	ThreadFunc = kernel.ThreadFunc
+	// Op is a thread body's next action (see ThreadFunc).
+	Op = kernel.Op
+	// SeqTask is the blocking context of a Sequential body.
+	SeqTask = sequential.Task
 	// CPUMask selects sets of CPUs.
 	CPUMask = kernel.Mask
 	// TID identifies a thread.
@@ -122,6 +132,10 @@ const (
 var (
 	MaskOf  = kernel.MaskOf
 	MaskAll = kernel.MaskAll
+	// Sequential adapts a straight-line body, whose Run, Block, Sleep and
+	// Yield calls block, to a ThreadFunc. It costs a goroutine per thread:
+	// use it in tests and examples, not in workloads with many threads.
+	Sequential = sequential.Body
 )
 
 // ghOSt core types (the paper's primary contribution).

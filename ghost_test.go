@@ -17,10 +17,10 @@ func TestQuickstart(t *testing.T) {
 
 	done := 0
 	for i := 0; i < 8; i++ {
-		m.Spawn(ghost.ThreadOpts{Name: "worker", Class: ghost.Ghost(enc)}, func(tc *ghost.Task) {
+		m.Spawn(ghost.ThreadOpts{Name: "worker", Class: ghost.Ghost(enc)}, ghost.Sequential(func(tc *ghost.SeqTask) {
 			tc.Run(50 * ghost.Microsecond)
 			done++
-		})
+		}))
 	}
 	m.Run(5 * ghost.Millisecond)
 	if done != 8 {
@@ -38,9 +38,9 @@ func TestPublicPolicies(t *testing.T) {
 	pol := ghost.NewShinjukuPolicy()
 	m.StartAgents(enc, pol, ghost.Global())
 
-	long := m.Spawn(ghost.ThreadOpts{Name: "long", Class: ghost.Ghost(enc)}, func(tc *ghost.Task) {
+	long := m.Spawn(ghost.ThreadOpts{Name: "long", Class: ghost.Ghost(enc)}, ghost.Sequential(func(tc *ghost.SeqTask) {
 		tc.Run(ghost.Millisecond)
-	})
+	}))
 	m.Run(2 * ghost.Millisecond)
 	if long.CPUTime() == 0 {
 		t.Fatal("nothing scheduled via public API")
@@ -54,18 +54,18 @@ func TestPublicSnapPolicy(t *testing.T) {
 	pol := ghost.SnapPolicy(func(t *ghost.Thread) bool { return t.Name() == "snap" })
 	m.StartAgents(enc, pol, ghost.Global())
 
-	batch := m.Spawn(ghost.ThreadOpts{Name: "batch", Class: ghost.Ghost(enc)}, func(tc *ghost.Task) {
+	batch := m.Spawn(ghost.ThreadOpts{Name: "batch", Class: ghost.Ghost(enc)}, ghost.Sequential(func(tc *ghost.SeqTask) {
 		for {
 			tc.Run(100 * ghost.Microsecond)
 		}
-	})
+	}))
 	m.Run(ghost.Millisecond)
 	if batch.CPUTime() == 0 {
 		t.Fatal("batch never ran on idle enclave")
 	}
-	snap := m.Spawn(ghost.ThreadOpts{Name: "snap", Class: ghost.Ghost(enc)}, func(tc *ghost.Task) {
+	snap := m.Spawn(ghost.ThreadOpts{Name: "snap", Class: ghost.Ghost(enc)}, ghost.Sequential(func(tc *ghost.SeqTask) {
 		tc.Run(20 * ghost.Microsecond)
-	})
+	}))
 	m.Run(ghost.Millisecond)
 	if snap.State() != 4 /* dead */ && snap.CPUTime() == 0 {
 		t.Fatal("snap worker starved")
@@ -92,10 +92,10 @@ func TestMachineHelpers(t *testing.T) {
 	if len(m.IdleCPUs()) != 72 {
 		t.Fatal("idle CPUs mismatch on empty machine")
 	}
-	th := m.Spawn(ghost.ThreadOpts{Name: "t"}, func(tc *ghost.Task) {
+	th := m.Spawn(ghost.ThreadOpts{Name: "t"}, ghost.Sequential(func(tc *ghost.SeqTask) {
 		tc.Block()
 		tc.Run(10 * ghost.Microsecond)
-	})
+	}))
 	m.Run(ghost.Millisecond)
 	m.Wake(th)
 	m.Run(ghost.Millisecond)
@@ -108,11 +108,11 @@ func TestMicroQuantaFacade(t *testing.T) {
 	m := ghost.NewMachine(ghost.XeonE5())
 	defer m.Shutdown()
 	th := m.Spawn(ghost.ThreadOpts{Name: "rt", Affinity: ghost.MaskOf(0), Class: ghost.MicroQuanta},
-		func(tc *ghost.Task) {
+		ghost.Sequential(func(tc *ghost.SeqTask) {
 			for {
 				tc.Run(100 * ghost.Microsecond)
 			}
-		})
+		}))
 	m.Run(10 * ghost.Millisecond)
 	share := float64(th.CPUTime()) / float64(10*ghost.Millisecond)
 	if share < 0.8 || share > 0.95 {

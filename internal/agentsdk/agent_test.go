@@ -1,6 +1,7 @@
 package agentsdk_test
 
 import (
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/agentsdk"
@@ -38,12 +39,12 @@ func newEnv(t *testing.T, cpus int) *env {
 func spawnWorkers(e *env, n, iters int, work sim.Duration) []*kernel.Thread {
 	var out []*kernel.Thread
 	for i := 0; i < n; i++ {
-		th := e.enc.SpawnThread(kernel.SpawnOpts{Name: "worker"}, func(tc *kernel.TaskContext) {
+		th := e.enc.SpawnThread(kernel.SpawnOpts{Name: "worker"}, sequential.Body(func(tc *sequential.Task) {
 			for j := 0; j < iters; j++ {
 				tc.Block()
 				tc.Run(work)
 			}
-		})
+		}))
 		out = append(out, th)
 	}
 	return out
@@ -134,9 +135,9 @@ func TestPerCPUWorkStealing(t *testing.T) {
 	// must spread them across CPUs.
 	var ths []*kernel.Thread
 	for i := 0; i < 12; i++ {
-		ths = append(ths, e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+		ths = append(ths, e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 			tc.Run(300 * sim.Microsecond)
-		}))
+		})))
 	}
 	e.eng.RunFor(30 * sim.Millisecond)
 	for i, th := range ths {
@@ -164,7 +165,7 @@ func TestHotHandoff(t *testing.T) {
 	}
 	// A CFS daemon pinned to CPU 0 must displace the global agent.
 	daemon := e.k.Spawn(kernel.SpawnOpts{Name: "daemon", Class: e.cfs, Affinity: kernel.MaskOf(0)},
-		func(tc *kernel.TaskContext) { tc.Run(500 * sim.Microsecond) })
+		sequential.Body(func(tc *sequential.Task) { tc.Run(500 * sim.Microsecond) }))
 	e.eng.RunFor(5 * sim.Millisecond)
 	if daemon.State() != kernel.StateDead {
 		t.Fatalf("pinned CFS daemon starved behind agent: %v", daemon.State())
@@ -277,11 +278,11 @@ func TestPriorityBandsWithPreemption(t *testing.T) {
 	// Batch threads saturate all schedulable CPUs (1,2,3; agent on 0).
 	var batch []*kernel.Thread
 	for i := 0; i < 3; i++ {
-		batch = append(batch, e.enc.SpawnThread(kernel.SpawnOpts{Name: "batch"}, func(tc *kernel.TaskContext) {
+		batch = append(batch, e.enc.SpawnThread(kernel.SpawnOpts{Name: "batch"}, sequential.Body(func(tc *sequential.Task) {
 			for j := 0; j < 1000; j++ {
 				tc.Run(100 * sim.Microsecond)
 			}
-		}))
+		})))
 	}
 	e.eng.RunFor(2 * sim.Millisecond)
 	running := 0
@@ -294,9 +295,9 @@ func TestPriorityBandsWithPreemption(t *testing.T) {
 		t.Fatalf("batch running = %d, want 3", running)
 	}
 	// A latency-critical thread arrives: must preempt a batch thread.
-	lat := e.enc.SpawnThread(kernel.SpawnOpts{Name: "latency"}, func(tc *kernel.TaskContext) {
+	lat := e.enc.SpawnThread(kernel.SpawnOpts{Name: "latency"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(10 * sim.Microsecond)
-	})
+	}))
 	start := e.eng.Now()
 	e.eng.RunFor(sim.Millisecond)
 	if lat.State() != kernel.StateDead {

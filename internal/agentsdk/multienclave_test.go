@@ -1,6 +1,7 @@
 package agentsdk_test
 
 import (
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/agentsdk"
@@ -37,12 +38,12 @@ func TestMultipleEnclaves(t *testing.T) {
 	spawn := func(enc *ghostcore.Enclave, n int) []*kernel.Thread {
 		var out []*kernel.Thread
 		for i := 0; i < n; i++ {
-			out = append(out, enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+			out = append(out, enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 				for j := 0; j < 10; j++ {
 					tc.Run(20 * sim.Microsecond)
 					tc.Sleep(30 * sim.Microsecond)
 				}
-			}))
+			})))
 		}
 		return out
 	}
@@ -97,9 +98,9 @@ func TestEnclaveForeignCPUCommit(t *testing.T) {
 	g := ghostcore.NewClass(k, cfs)
 	defer k.Shutdown()
 	enc := ghostcore.NewEnclave(g, kernel.MaskOf(0, 1))
-	th := enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+	th := enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(10 * sim.Microsecond)
-	})
+	}))
 	txn := enc.TxnCreate(th.TID(), 3) // CPU 3 not in the enclave
 	enc.TxnsCommit(nil, []*ghostcore.Txn{txn})
 	if txn.Status != ghostcore.TxnCPUNotAvail {

@@ -2,6 +2,7 @@ package agentsdk_test
 
 import (
 	"errors"
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/agentsdk"
@@ -24,12 +25,12 @@ func TestUpgradeAttachTimeoutFallsBack(t *testing.T) {
 
 	done := 0
 	for i := 0; i < 4; i++ {
-		e.enc.SpawnThread(kernel.SpawnOpts{Name: "worker"}, func(tc *kernel.TaskContext) {
+		e.enc.SpawnThread(kernel.SpawnOpts{Name: "worker"}, sequential.Body(func(tc *sequential.Task) {
 			for j := 0; j < 50; j++ {
 				tc.Run(20 * sim.Microsecond)
 			}
 			done++
-		})
+		}))
 	}
 	e.eng.RunFor(200 * sim.Microsecond) // let work start under ghOSt
 	set.Stop()                          // announce an upgrade; no successor ever attaches
@@ -94,13 +95,13 @@ func TestUpgradeUnderLoad(t *testing.T) {
 	done := 0
 	var workers []*kernel.Thread
 	for i := 0; i < 6; i++ {
-		th := e.enc.SpawnThread(kernel.SpawnOpts{Name: "worker"}, func(tc *kernel.TaskContext) {
+		th := e.enc.SpawnThread(kernel.SpawnOpts{Name: "worker"}, sequential.Body(func(tc *sequential.Task) {
 			for j := 0; j < 100; j++ {
 				tc.Block()
 				tc.Run(20 * sim.Microsecond)
 			}
 			done++
-		})
+		}))
 		workers = append(workers, th)
 	}
 	sim.NewTicker(e.eng, 50*sim.Microsecond, func(sim.Time) {

@@ -266,7 +266,7 @@ func (s Scenario) populate(rg *rig) []*agentsdk.AgentSet {
 	for i := 0; i < s.Threads; i++ {
 		wr := r.Fork()
 		burst := 5 + r.Intn(96)
-		body := workerBody(wr, burst)
+		body := workerBody(wr, burst, false)
 		so := kernel.SpawnOpts{Name: fmt.Sprintf("w%d", i)}
 		var th *kernel.Thread
 		switch {
@@ -289,7 +289,7 @@ func (s Scenario) populate(rg *rig) []*agentsdk.AgentSet {
 	for i := 0; i < 1+r.Intn(2); i++ {
 		nr := r.Fork()
 		th := rg.k.Spawn(kernel.SpawnOpts{Name: fmt.Sprintf("noise%d", i), Class: rg.cfs},
-			noiseBody(nr))
+			noiseBody(nr, false))
 		th.SetBodyDesc(&kernel.BodyDesc{Kind: "check.noise", Rand: nr})
 	}
 	return sets
@@ -307,75 +307,62 @@ func (s Scenario) Run() *Result {
 	return &Result{Scenario: s, Violations: ck.Violations()}
 }
 
-// workerBody is a deterministic run/sleep/yield loop; maxBurstUS bounds
-// the service time in microseconds.
-func workerBody(r *sim.Rand, maxBurstUS int) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		for {
-			tc.Run(sim.Duration(1+r.Intn(maxBurstUS)) * sim.Microsecond)
-			workerPark(tc, r)
-		}
+// loopBody is a resumable two-step loop: issue a burst, then park, then
+// a burst again. inRun is its whole resume state: the burst has been
+// issued, so the park comes next. Every random draw happens at the
+// resume point that uses it.
+type loopBody struct {
+	r     *sim.Rand
+	burst func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op
+	park  func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op
+	inRun bool
+}
+
+func (b *loopBody) resume(tc *kernel.TaskContext) kernel.Op {
+	if b.inRun {
+		b.inRun = false
+		return b.park(tc, b.r)
 	}
+	b.inRun = true
+	return b.burst(tc, b.r)
+}
+
+// workerBody is a deterministic run/sleep/yield loop; maxBurstUS bounds
+// the service time in microseconds. inRun rebuilds a worker that a
+// snapshot caught in its burst (the overlay restores the remaining
+// service time; a sleep's wake-up is re-filed as a pending event).
+func workerBody(r *sim.Rand, maxBurstUS int, inRun bool) kernel.ThreadFunc {
+	b := &loopBody{r: r, inRun: inRun, park: workerPark,
+		burst: func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
+			return tc.Run(sim.Duration(1+r.Intn(maxBurstUS)) * sim.Microsecond)
+		}}
+	return b.resume
 }
 
 // workerPark is the tail of one worker iteration: the branch draw and
-// the park (or yield) it selects. Split out so a body resumed from a
-// snapshot mid-Run re-enters the loop at exactly this point.
-func workerPark(tc *kernel.TaskContext, r *sim.Rand) {
+// the park (or yield) it selects.
+func workerPark(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
 	switch r.Intn(4) {
 	case 0, 1:
-		tc.Sleep(sim.Duration(20+r.Intn(200)) * sim.Microsecond)
+		return tc.Sleep(sim.Duration(20+r.Intn(200)) * sim.Microsecond)
 	case 2:
-		tc.Yield()
+		return tc.Yield()
 	default:
-		tc.Sleep(sim.Duration(1+r.Intn(20)) * sim.Microsecond)
-	}
-}
-
-// resumedWorkerBody rebuilds a worker parked in a snapshot: re-issue the
-// parked call first (the overlay restores the remaining service time and
-// the sleep wake-up is re-filed as a pending event), then continue the
-// loop with the restored random stream.
-func resumedWorkerBody(r *sim.Rand, maxBurstUS int, inRun bool) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		if inRun {
-			tc.Run(1) // remaining service restored by the state overlay
-			workerPark(tc, r)
-		} else {
-			tc.Block() // re-enter the Sleep park; the wake event is re-filed
-		}
-		for {
-			tc.Run(sim.Duration(1+r.Intn(maxBurstUS)) * sim.Microsecond)
-			workerPark(tc, r)
-		}
+		return tc.Sleep(sim.Duration(1+r.Intn(20)) * sim.Microsecond)
 	}
 }
 
 // noiseBody keeps CFS load light (short bursts, long sleeps) so the
-// enclave is perturbed but never starved.
-func noiseBody(r *sim.Rand) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		for {
-			tc.Run(sim.Duration(5+r.Intn(45)) * sim.Microsecond)
-			tc.Sleep(sim.Duration(200+r.Intn(800)) * sim.Microsecond)
-		}
-	}
-}
-
-// resumedNoiseBody is noiseBody's snapshot-resume counterpart.
-func resumedNoiseBody(r *sim.Rand, inRun bool) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		if inRun {
-			tc.Run(1) // remaining work restored by the state overlay
-			tc.Sleep(sim.Duration(200+r.Intn(800)) * sim.Microsecond)
-		} else {
-			tc.Block() // re-enter the Sleep park; the wake event is re-filed
-		}
-		for {
-			tc.Run(sim.Duration(5+r.Intn(45)) * sim.Microsecond)
-			tc.Sleep(sim.Duration(200+r.Intn(800)) * sim.Microsecond)
-		}
-	}
+// enclave is perturbed but never starved. inRun is as for workerBody.
+func noiseBody(r *sim.Rand, inRun bool) kernel.ThreadFunc {
+	b := &loopBody{r: r, inRun: inRun,
+		burst: func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
+			return tc.Run(sim.Duration(5+r.Intn(45)) * sim.Microsecond)
+		},
+		park: func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
+			return tc.Sleep(sim.Duration(200+r.Intn(800)) * sim.Microsecond)
+		}}
+	return b.resume
 }
 
 func applyMutation(g *ghostcore.Class, name string) {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"ghost/internal/sequential"
 	"reflect"
 	"testing"
 
@@ -45,11 +46,11 @@ func newSWFixture(tb testing.TB, cpus int) *swFixture {
 func (f *swFixture) blocked(enc *ghostcore.Enclave, n int) []*kernel.Thread {
 	out := make([]*kernel.Thread, n)
 	for i := range out {
-		out[i] = f.k.Spawn(kernel.SpawnOpts{Name: "b", Class: f.cfs}, func(tc *kernel.TaskContext) {
+		out[i] = f.k.Spawn(kernel.SpawnOpts{Name: "b", Class: f.cfs}, sequential.Body(func(tc *sequential.Task) {
 			for {
 				tc.Block()
 			}
-		})
+		}))
 	}
 	f.eng.RunFor(sim.Millisecond)
 	for _, t := range out {
@@ -63,9 +64,9 @@ func (f *swFixture) blocked(enc *ghostcore.Enclave, n int) []*kernel.Thread {
 func (f *swFixture) runnable(enc *ghostcore.Enclave, n int) []*kernel.Thread {
 	out := make([]*kernel.Thread, n)
 	for i := range out {
-		out[i] = enc.SpawnThread(kernel.SpawnOpts{Name: "r"}, func(tc *kernel.TaskContext) {
+		out[i] = enc.SpawnThread(kernel.SpawnOpts{Name: "r"}, sequential.Body(func(tc *sequential.Task) {
 			tc.Run(sim.Millisecond)
-		})
+		}))
 	}
 	return out
 }
@@ -146,11 +147,11 @@ func newBusyFixture(tb testing.TB, n int) *swFixture {
 	enc := ghostcore.NewEnclave(f.g, kernel.MaskAll(21))
 	agentsdk.Start(f.k, enc, f.ac, policies.NewShinjuku(), agentsdk.Global())
 	for i := 0; i < n; i++ {
-		enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+		enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 			for {
 				tc.Run(100 * sim.Microsecond)
 			}
-		})
+		}))
 	}
 	f.eng.RunFor(2 * sim.Millisecond)
 	onCPU := 0

@@ -138,7 +138,7 @@ func fig5Point(topo *hw.Topology, cpus []hw.CPUID, o Options) float64 {
 	const work = 15 * sim.Microsecond
 	nThreads := 2 * len(cpus)
 	for i := 0; i < nThreads; i++ {
-		th := enc.SpawnThread(kernel.SpawnOpts{Name: "looper"}, fig5Looper(work))
+		th := enc.SpawnThread(kernel.SpawnOpts{Name: "looper"}, fig5Looper(work, false))
 		th.SetBodyDesc(&kernel.BodyDesc{Kind: "experiments.fig5-looper", Args: []int64{int64(work)}})
 	}
 	warm := 5 * sim.Millisecond

@@ -20,30 +20,21 @@ func init() {
 		if len(rec.Args) != 1 {
 			return nil, fmt.Errorf("fig5-looper wants 1 arg, got %d", len(rec.Args))
 		}
-		work := sim.Duration(rec.Args[0])
-		if !res.Resuming {
-			return fig5Looper(work), nil
-		}
-		return func(tc *kernel.TaskContext) {
-			if res.InRun {
-				// Parked mid-transaction: re-enter the run (the snapshot
-				// overlay re-applies the true remaining work) and finish it.
-				tc.Run(1)
-				tc.Yield()
-			}
-			fig5Looper(work)(tc)
-		}, nil
+		return fig5Looper(sim.Duration(rec.Args[0]), res.InRun), nil
 	})
 }
 
 // fig5Looper is the fig5 workload body: one transaction is work worth of
-// CPU followed by a yield.
-func fig5Looper(work sim.Duration) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		for {
-			tc.Run(work)
-			tc.Yield()
+// CPU followed by a yield. inRun, its resume state, rebuilds a looper
+// that a snapshot caught mid-transaction: the overlay restores the
+// remaining work, and the yield comes next.
+func fig5Looper(work sim.Duration, inRun bool) kernel.ThreadFunc {
+	return func(tc *kernel.TaskContext) kernel.Op {
+		inRun = !inRun
+		if inRun {
+			return tc.Run(work)
 		}
+		return tc.Yield()
 	}
 }
 

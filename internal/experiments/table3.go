@@ -74,6 +74,22 @@ func runTable3(o Options) *Report {
 	return rep
 }
 
+// runBlockLoop is a body that runs burst and then blocks, n times, and
+// then exits.
+func runBlockLoop(n int, burst sim.Duration) kernel.ThreadFunc {
+	issued := 0
+	return func(tc *kernel.TaskContext) kernel.Op {
+		if issued == 2*n {
+			return tc.Exit()
+		}
+		issued++
+		if issued%2 == 1 {
+			return tc.Run(burst)
+		}
+		return tc.Block()
+	}
+}
+
 // measurePerCPUPath runs block/wake cycles under a per-CPU agent and
 // returns (median message delivery latency, local schedule latency).
 func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
@@ -82,12 +98,7 @@ func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(0, 1)
 	set := m.m.StartAgents(enc, policies.NewPerCPUFIFO(), ghost.PerCPU())
-	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, func(tc *kernel.TaskContext) {
-		for i := 0; i < 400; i++ {
-			tc.Run(2 * sim.Microsecond)
-			tc.Block()
-		}
-	})
+	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, runBlockLoop(400, 2*sim.Microsecond))
 	sim.NewTicker(m.eng, 50*sim.Microsecond, func(sim.Time) {
 		if th.State() == kernel.StateBlocked {
 			m.k.Wake(th)
@@ -110,12 +121,7 @@ func measureGlobalDelivery(o Options) sim.Duration {
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(0, 1, 2, 3)
 	set := m.startCentral(enc, policies.NewCentralFIFO())
-	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, func(tc *kernel.TaskContext) {
-		for i := 0; i < 400; i++ {
-			tc.Run(2 * sim.Microsecond)
-			tc.Block()
-		}
-	})
+	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, runBlockLoop(400, 2*sim.Microsecond))
 	sim.NewTicker(m.eng, 50*sim.Microsecond, func(sim.Time) {
 		if th.State() == kernel.StateBlocked {
 			m.k.Wake(th)
@@ -141,11 +147,16 @@ func measureRemoteE2E(o Options, n int) sim.Duration {
 	var lastStart sim.Time
 	var ths []*kernel.Thread
 	for i := 0; i < n; i++ {
-		th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, func(tc *kernel.TaskContext) {
-			tc.Run(1000)
+		ran := false
+		th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, func(tc *kernel.TaskContext) kernel.Op {
+			if !ran {
+				ran = true
+				return tc.Run(1000)
+			}
 			if end := tc.Now() - 1000; end > lastStart {
 				lastStart = end
 			}
+			return tc.Exit()
 		})
 		ths = append(ths, th)
 	}
@@ -170,14 +181,23 @@ func measureCFSSwitch(o Options) sim.Duration {
 	defer m.k.Shutdown()
 	var total sim.Duration
 	var n int
-	m.k.Spawn(kernel.SpawnOpts{Name: "t", Class: m.cfs}, func(tc *kernel.TaskContext) {
-		for i := 0; i < 100; i++ {
-			tc.Sleep(10 * sim.Microsecond)
-			woke := tc.Now()
-			tc.Run(sim.Microsecond)
+	// 100 rounds of: sleep 10µs, then time a 1µs run from the wakeup.
+	var woke sim.Time
+	asleep, running := false, false
+	m.k.Spawn(kernel.SpawnOpts{Name: "t", Class: m.cfs}, func(tc *kernel.TaskContext) kernel.Op {
+		if asleep {
+			woke, asleep, running = tc.Now(), false, true
+			return tc.Run(sim.Microsecond)
+		}
+		if running {
 			total += tc.Now() - woke - sim.Microsecond
 			n++
 		}
+		if n == 100 {
+			return tc.Exit()
+		}
+		asleep, running = true, false
+		return tc.Sleep(10 * sim.Microsecond)
 	})
 	m.m.Run(5 * sim.Millisecond)
 	if n == 0 {

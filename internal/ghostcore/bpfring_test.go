@@ -1,6 +1,7 @@
 package ghostcore
 
 import (
+	"ghost/internal/sequential"
 	"testing"
 	"testing/quick"
 
@@ -101,7 +102,7 @@ func TestBPFRingEndToEnd(t *testing.T) {
 	}
 	// Trigger idle transitions: a short CFS thread comes and goes.
 	env.k.Spawn(kernel.SpawnOpts{Name: "kick", Class: env.cfs, Affinity: kernel.MaskOf(3)},
-		func(tc *kernel.TaskContext) { tc.Run(sim.Microsecond) })
+		sequential.Body(func(tc *sequential.Task) { tc.Run(sim.Microsecond) }))
 	env.eng.RunFor(5 * sim.Millisecond)
 	done := 0
 	for _, th := range ths {

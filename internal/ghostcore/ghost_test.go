@@ -1,6 +1,7 @@
 package ghostcore
 
 import (
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/hw"
@@ -34,14 +35,14 @@ func newGhostEnv(t *testing.T) *ghostEnv {
 
 // spawnGhost spawns a thread into the enclave that loops run/block.
 func (e *ghostEnv) spawnGhost(name string, work sim.Duration, iters int) *kernel.Thread {
-	return e.enc.SpawnThread(kernel.SpawnOpts{Name: name}, func(tc *kernel.TaskContext) {
+	return e.enc.SpawnThread(kernel.SpawnOpts{Name: name}, sequential.Body(func(tc *sequential.Task) {
 		for i := 0; i < iters; i++ {
 			tc.Run(work)
 			if i < iters-1 {
 				tc.Block()
 			}
 		}
-	})
+	}))
 }
 
 func drainTypes(q *Queue) []MsgType {
@@ -178,11 +179,11 @@ func TestTxnCPUBusyWithCFS(t *testing.T) {
 	env := newGhostEnv(t)
 	// CFS hog pinned to CPU 1.
 	env.k.Spawn(kernel.SpawnOpts{Name: "hog", Class: env.cfs, Affinity: kernel.MaskOf(1)},
-		func(tc *kernel.TaskContext) {
+		sequential.Body(func(tc *sequential.Task) {
 			for {
 				tc.Run(sim.Millisecond)
 			}
-		})
+		}))
 	env.eng.RunFor(100 * sim.Microsecond)
 	th := env.spawnGhost("w", 10*sim.Microsecond, 1)
 	env.eng.RunFor(0)
@@ -205,7 +206,7 @@ func TestCFSPreemptsGhostThread(t *testing.T) {
 	}
 	// A CFS thread waking on CPU 1 must preempt it immediately.
 	cfsT := env.k.Spawn(kernel.SpawnOpts{Name: "c", Class: env.cfs, Affinity: kernel.MaskOf(1)},
-		func(tc *kernel.TaskContext) { tc.Run(100 * sim.Microsecond) })
+		sequential.Body(func(tc *sequential.Task) { tc.Run(100 * sim.Microsecond) }))
 	env.eng.RunFor(50 * sim.Microsecond)
 	if cfsT.State() != kernel.StateRunning {
 		t.Fatalf("cfs thread state = %v, want running", cfsT.State())
@@ -415,9 +416,9 @@ func TestNewEnclaveAfterDestroy(t *testing.T) {
 	if enc2.ID() == env.enc.ID() {
 		t.Fatal("enclave id reused")
 	}
-	th := enc2.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+	th := enc2.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(10 * sim.Microsecond)
-	})
+	}))
 	txn := enc2.TxnCreate(th.TID(), 0)
 	enc2.TxnsCommit(nil, []*Txn{txn})
 	if txn.Status != TxnCommitted {
@@ -502,7 +503,7 @@ func TestBPFFastpath(t *testing.T) {
 	}))
 	// Poke the idle path by scheduling and finishing a CFS thread.
 	env.k.Spawn(kernel.SpawnOpts{Name: "c", Class: env.cfs, Affinity: kernel.MaskOf(3)},
-		func(tc *kernel.TaskContext) { tc.Run(5 * sim.Microsecond) })
+		sequential.Body(func(tc *sequential.Task) { tc.Run(5 * sim.Microsecond) }))
 	env.eng.RunFor(sim.Millisecond)
 	if th.State() != kernel.StateDead {
 		t.Fatalf("BPF fastpath did not run thread: %v", th.State())

@@ -1,6 +1,7 @@
 package ghostcore
 
 import (
+	"ghost/internal/sequential"
 	"slices"
 	"testing"
 
@@ -63,18 +64,18 @@ func TestThreadSetOrdered(t *testing.T) {
 	// Native threads first, so they hold the lowest TIDs.
 	var native []*kernel.Thread
 	for i := 0; i < 6; i++ {
-		native = append(native, k.Spawn(kernel.SpawnOpts{Name: "n", Class: cfs}, func(tc *kernel.TaskContext) {
+		native = append(native, k.Spawn(kernel.SpawnOpts{Name: "n", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 			for {
 				tc.Block()
 			}
-		}))
+		})))
 	}
 	eng.RunFor(sim.Millisecond)
-	spin := func(tc *kernel.TaskContext) {
+	spin := sequential.Body(func(tc *sequential.Task) {
 		for {
 			tc.Run(sim.Millisecond)
 		}
-	}
+	})
 	var ga, gb []*kernel.Thread
 	for i := 0; i < 5; i++ {
 		ga = append(ga, a.SpawnThread(kernel.SpawnOpts{Name: "a"}, spin))

@@ -2,6 +2,7 @@ package ghostcore
 
 import (
 	"ghost/internal/hw"
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/kernel"
@@ -77,7 +78,7 @@ func TestSchedulingHints(t *testing.T) {
 	}
 	// Hints on foreign threads are rejected silently.
 	other := env.k.Spawn(kernel.SpawnOpts{Name: "cfs", Class: env.cfs},
-		func(tc *kernel.TaskContext) { tc.Run(sim.Microsecond) })
+		sequential.Body(func(tc *sequential.Task) { tc.Run(sim.Microsecond) }))
 	env.enc.SetHint(other, "x")
 	if env.enc.Hint(other) != nil {
 		t.Fatal("hint set on non-enclave thread")

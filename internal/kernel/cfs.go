@@ -355,8 +355,7 @@ func (c *CFS) SelectCPU(t *Thread) hw.CPUID {
 	}
 	domain := t.affinity
 	if last != hw.NoCPU {
-		llc := MaskOf(k.topo.CPUsOfCCX(k.topo.CPU(last).CCX)...)
-		if d := t.affinity.And(llc); !d.Empty() {
+		if d := t.affinity.And(k.ccxMasks[k.cpus[last].Info.CCX]); !d.Empty() {
 			domain = d
 		}
 	}

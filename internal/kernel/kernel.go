@@ -3,10 +3,11 @@
 // affinity, and nice values. It is the substrate on which the ghOSt
 // scheduling class (internal/ghostcore) and the baseline schedulers run.
 //
-// Thread bodies are written as plain Go functions that interact with the
-// kernel through a TaskContext; the kernel executes them deterministically
-// on virtual time using a strict hand-off between the simulation engine
-// goroutine and each thread goroutine.
+// Thread bodies are resumable functions (ThreadFunc) that the kernel
+// calls on the engine goroutine at each of the thread's resume points;
+// every call returns the thread's next Run, Block, Yield or Exit. The
+// whole simulation therefore runs on one goroutine, deterministically on
+// virtual time.
 package kernel
 
 import (
@@ -28,6 +29,7 @@ type Kernel struct {
 
 	cpus     []*CPU
 	cpuSched []sim.Scheduler // per-CPU event-queue domain; all = eng unsharded
+	ccxMasks []Mask          // CPUs of each CCX (L3 domain), by CCX index
 	threads  map[TID]*Thread
 	live     []*Thread
 	nextTID  TID
@@ -84,9 +86,11 @@ func New(eng sim.Scheduler, topo *hw.Topology, cost hw.CostModel) *Kernel {
 	k.cpus = make([]*CPU, n)
 	k.cpuSched = make([]sim.Scheduler, n)
 	k.tickless = make([]bool, n)
+	k.ccxMasks = make([]Mask, topo.NumCCXs())
 	router, routed := eng.(sim.DomainRouter)
 	for i := 0; i < n; i++ {
 		k.cpus[i] = &CPU{ID: hw.CPUID(i), Info: topo.CPU(hw.CPUID(i)), k: k}
+		k.ccxMasks[k.cpus[i].Info.CCX].Set(hw.CPUID(i))
 		if routed {
 			k.cpuSched[i] = router.DomainFor(i)
 		} else {
@@ -234,7 +238,8 @@ func (k *Kernel) AddPressureHook(fn func(*CPU, *Thread)) {
 	k.pressureHooks = append(k.pressureHooks, fn)
 }
 
-// Tracef emits a trace line when tracing is enabled.
+// Tracef emits a trace line when tracing is enabled. Hot call sites test
+// TraceFn first so that their arguments are not boxed.
 func (k *Kernel) Tracef(format string, args ...any) {
 	if k.TraceFn != nil {
 		k.TraceFn(fmt.Sprintf("[%v] ", k.eng.Now()) + fmt.Sprintf(format, args...))
@@ -248,17 +253,24 @@ type SpawnOpts struct {
 	Affinity Mask // zero value means "all CPUs"
 	Nice     int
 	Tag      any
+	// Restored spawns the thread parked, without calling the body, for
+	// snapshot restore: RestoreImage overlays the parked action.
+	Restored bool
 }
 
 // Spawn creates a thread running body and hands it to its scheduling
-// class. The thread starts executing (in simulated terms) as soon as its
-// class schedules it; body code before the first TaskContext call runs at
-// spawn time.
+// class. The body is called once right away, at spawn time, for its
+// first Op; the thread starts executing (in simulated terms) as soon as
+// its class schedules it.
 func (k *Kernel) Spawn(opts SpawnOpts, body ThreadFunc) *Thread {
 	t := k.newThread(opts)
-	t.reqCh = make(chan action)
-	t.resCh = make(chan struct{})
-	go t.threadMain(body)
+	t.fn = body
+	t.tc.t = t
+	if opts.Restored {
+		t.state = StateBlocked
+		t.curKind = actBlock
+		return t
+	}
 	k.applyAction(t, t.nextAction())
 	return t
 }
@@ -505,7 +517,9 @@ func (k *Kernel) cpuIdle(c *CPU) {
 	}
 	c.accountIdle()
 	k.traceCPU(c)
-	k.Tracef("cpu%d idle", c.ID)
+	if k.TraceFn != nil {
+		k.Tracef("cpu%d idle", c.ID)
+	}
 	for _, h := range k.idleHooks {
 		h(c)
 		if c.curr != nil || c.switching {
@@ -540,7 +554,9 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 		next.pendingWork += k.cost.MigrationPenalty(k.topo.Dist(next.lastCPU, c.ID))
 	}
 	cost := next.class.SwitchInCost()
-	k.Tracef("cpu%d switch -> %v (cost %v)", c.ID, next, cost)
+	if k.TraceFn != nil {
+		k.Tracef("cpu%d switch -> %v (cost %v)", c.ID, next, cost)
+	}
 	if cost <= 0 {
 		k.resumeOnCPU(c)
 		return
@@ -654,12 +670,9 @@ func (k *Kernel) pokeFire(a any) {
 	}
 }
 
-// fetchNext acknowledges a body thread's completed action and applies the
+// fetchNext resumes a thread whose action has completed and applies the
 // next one.
 func (k *Kernel) fetchNext(t *Thread) {
-	if t.stepper == nil {
-		t.resCh <- struct{}{}
-	}
 	k.applyAction(t, t.nextAction())
 }
 
@@ -791,11 +804,16 @@ func (k *Kernel) reap(t *Thread) {
 		t.class.Dequeue(t, DeqDead)
 	}
 	t.class.ThreadDetached(t, DeqDead)
-	if t.stepper == nil && t.resCh != nil && !t.chClosed {
-		t.chClosed = true
-		close(t.resCh)
-	}
+	t.runAtExit()
 	k.Tracef("exit %v", t)
+}
+
+// runAtExit runs the body's AtExit hook, at most once.
+func (t *Thread) runAtExit() {
+	if fn := t.atExit; fn != nil {
+		t.atExit = nil
+		fn()
+	}
 }
 
 // SetAffinity updates a thread's CPU mask and notifies its class.
@@ -876,16 +894,16 @@ func (k *Kernel) tick(c *CPU) {
 	}
 }
 
-// Shutdown unwinds all thread goroutines so a finished simulation does
-// not leak them. The kernel is unusable afterwards.
+// Shutdown marks every thread dead and runs the AtExit hooks of those
+// still alive, so bodies holding outside resources release them. The
+// kernel is unusable afterwards.
 func (k *Kernel) Shutdown() {
 	k.shutdown = true
 	for _, t := range k.live {
-		if t.state != StateDead && t.stepper == nil && t.resCh != nil && !t.chClosed {
-			t.chClosed = true
-			close(t.resCh)
+		if t.state != StateDead {
+			t.state = StateDead
+			t.runAtExit()
 		}
-		t.state = StateDead
 	}
 }
 

@@ -1,6 +1,8 @@
-package kernel
+package kernel_test
 
 import (
+	. "ghost/internal/kernel"
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/hw"
@@ -34,10 +36,10 @@ func oneCPUTopo() *hw.Topology {
 func TestSingleThreadRuns(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	var done sim.Time
-	env.k.Spawn(SpawnOpts{Name: "worker", Class: env.cfs}, func(tc *TaskContext) {
+	env.k.Spawn(SpawnOpts{Name: "worker", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(100 * sim.Microsecond)
 		done = tc.Now()
-	})
+	}))
 	env.eng.RunFor(10 * sim.Millisecond)
 	if done == 0 {
 		t.Fatal("thread never completed")
@@ -51,11 +53,11 @@ func TestSingleThreadRuns(t *testing.T) {
 
 func TestThreadCPUTimeAccounting(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
-	th := env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, func(tc *TaskContext) {
+	th := env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(50 * sim.Microsecond)
 		tc.Sleep(sim.Millisecond)
 		tc.Run(50 * sim.Microsecond)
-	})
+	}))
 	env.eng.RunFor(10 * sim.Millisecond)
 	if th.State() != StateDead {
 		t.Fatalf("thread state = %v, want dead", th.State())
@@ -68,11 +70,11 @@ func TestThreadCPUTimeAccounting(t *testing.T) {
 func TestBlockWake(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	var woke sim.Time
-	th := env.k.Spawn(SpawnOpts{Name: "sleeper", Class: env.cfs}, func(tc *TaskContext) {
+	th := env.k.Spawn(SpawnOpts{Name: "sleeper", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Block()
 		woke = tc.Now()
 		tc.Run(10 * sim.Microsecond)
-	})
+	}))
 	env.eng.RunFor(sim.Millisecond)
 	if th.State() != StateBlocked {
 		t.Fatalf("state = %v, want blocked", th.State())
@@ -90,13 +92,13 @@ func TestBlockWake(t *testing.T) {
 func TestWakePendingCoalesce(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	blocks := 0
-	th := env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, func(tc *TaskContext) {
+	th := env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(100 * sim.Microsecond) // wake arrives during this run
 		tc.Block()                    // must return immediately (pending wake)
 		blocks++
 		tc.Block() // blocks for real
 		blocks++
-	})
+	}))
 	env.eng.After(10*sim.Microsecond, func() { env.k.Wake(th) })
 	env.eng.RunFor(sim.Millisecond)
 	if blocks != 1 {
@@ -109,11 +111,11 @@ func TestWakePendingCoalesce(t *testing.T) {
 
 func TestFairSharingTwoThreads(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
-	spin := func(tc *TaskContext) {
+	spin := sequential.Body(func(tc *sequential.Task) {
 		for i := 0; i < 10000; i++ {
 			tc.Run(100 * sim.Microsecond)
 		}
-	}
+	})
 	a := env.k.Spawn(SpawnOpts{Name: "a", Class: env.cfs}, spin)
 	b := env.k.Spawn(SpawnOpts{Name: "b", Class: env.cfs}, spin)
 	env.eng.RunFor(200 * sim.Millisecond)
@@ -129,11 +131,11 @@ func TestFairSharingTwoThreads(t *testing.T) {
 
 func TestNiceWeighting(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
-	spin := func(tc *TaskContext) {
+	spin := sequential.Body(func(tc *sequential.Task) {
 		for i := 0; i < 100000; i++ {
 			tc.Run(100 * sim.Microsecond)
 		}
-	}
+	})
 	hi := env.k.Spawn(SpawnOpts{Name: "hi", Class: env.cfs, Nice: -5}, spin)
 	lo := env.k.Spawn(SpawnOpts{Name: "lo", Class: env.cfs, Nice: 5}, spin)
 	env.eng.RunFor(500 * sim.Millisecond)
@@ -149,13 +151,13 @@ func TestYieldAlternation(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	var order []string
 	mk := func(name string) ThreadFunc {
-		return func(tc *TaskContext) {
+		return sequential.Body(func(tc *sequential.Task) {
 			for i := 0; i < 3; i++ {
 				tc.Run(sim.Microsecond)
 				order = append(order, name)
 				tc.Yield()
 			}
-		}
+		})
 	}
 	env.k.Spawn(SpawnOpts{Name: "a", Class: env.cfs}, mk("a"))
 	env.k.Spawn(SpawnOpts{Name: "b", Class: env.cfs}, mk("b"))
@@ -175,14 +177,14 @@ func TestSMTDilation(t *testing.T) {
 	env := newTestEnv(t, topo)
 	sib := topo.CPU(0).Sibling()
 	var aDone, bDone sim.Time
-	a := env.k.Spawn(SpawnOpts{Name: "a", Class: env.cfs, Affinity: MaskOf(0)}, func(tc *TaskContext) {
+	a := env.k.Spawn(SpawnOpts{Name: "a", Class: env.cfs, Affinity: MaskOf(0)}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(sim.Millisecond)
 		aDone = tc.Now()
-	})
-	b := env.k.Spawn(SpawnOpts{Name: "b", Class: env.cfs, Affinity: MaskOf(sib)}, func(tc *TaskContext) {
+	}))
+	b := env.k.Spawn(SpawnOpts{Name: "b", Class: env.cfs, Affinity: MaskOf(sib)}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(sim.Millisecond)
 		bDone = tc.Now()
-	})
+	}))
 	_ = a
 	_ = b
 	env.eng.RunFor(10 * sim.Millisecond)
@@ -198,10 +200,10 @@ func TestSMTDilation(t *testing.T) {
 	// And an isolated run must be faster than a contended one.
 	env2 := newTestEnv(t, topo)
 	var soloDone sim.Time
-	env2.k.Spawn(SpawnOpts{Name: "solo", Class: env2.cfs, Affinity: MaskOf(0)}, func(tc *TaskContext) {
+	env2.k.Spawn(SpawnOpts{Name: "solo", Class: env2.cfs, Affinity: MaskOf(0)}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(sim.Millisecond)
 		soloDone = tc.Now()
-	})
+	}))
 	env2.eng.RunFor(10 * sim.Millisecond)
 	if soloDone >= aDone {
 		t.Fatalf("solo run (%v) not faster than contended (%v)", soloDone, aDone)
@@ -212,10 +214,10 @@ func TestMultiCPUSpreads(t *testing.T) {
 	env := newTestEnv(t, smallTopo())
 	var dones []sim.Time
 	for i := 0; i < 4; i++ {
-		env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, func(tc *TaskContext) {
+		env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 			tc.Run(sim.Millisecond)
 			dones = append(dones, tc.Now())
-		})
+		}))
 	}
 	env.eng.RunFor(20 * sim.Millisecond)
 	if len(dones) != 4 {
@@ -236,10 +238,10 @@ func TestIdleStealing(t *testing.T) {
 	env := newTestEnv(t, smallTopo())
 	finished := 0
 	for i := 0; i < 8; i++ {
-		env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, func(tc *TaskContext) {
+		env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 			tc.Run(500 * sim.Microsecond)
 			finished++
-		})
+		}))
 	}
 	env.eng.RunFor(5 * sim.Millisecond)
 	if finished != 8 {
@@ -258,12 +260,12 @@ func TestIdleStealing(t *testing.T) {
 
 func TestAffinityRespected(t *testing.T) {
 	env := newTestEnv(t, smallTopo())
-	th := env.k.Spawn(SpawnOpts{Name: "pin", Class: env.cfs, Affinity: MaskOf(1)}, func(tc *TaskContext) {
+	th := env.k.Spawn(SpawnOpts{Name: "pin", Class: env.cfs, Affinity: MaskOf(1)}, sequential.Body(func(tc *sequential.Task) {
 		for i := 0; i < 100; i++ {
 			tc.Run(10 * sim.Microsecond)
 			tc.Yield()
 		}
-	})
+	}))
 	env.eng.RunFor(10 * sim.Millisecond)
 	if th.LastCPU() != 1 {
 		t.Fatalf("pinned thread ran on cpu %d", th.LastCPU())
@@ -276,7 +278,7 @@ func TestAffinityRespected(t *testing.T) {
 func TestSetAffinityMigrates(t *testing.T) {
 	env := newTestEnv(t, smallTopo())
 	var sawCPU1 bool
-	th := env.k.Spawn(SpawnOpts{Name: "m", Class: env.cfs, Affinity: MaskOf(0)}, func(tc *TaskContext) {
+	th := env.k.Spawn(SpawnOpts{Name: "m", Class: env.cfs, Affinity: MaskOf(0)}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(100 * sim.Microsecond)
 		tc.SetAffinity(MaskOf(1))
 		for i := 0; i < 10; i++ {
@@ -285,7 +287,7 @@ func TestSetAffinityMigrates(t *testing.T) {
 				sawCPU1 = true
 			}
 		}
-	})
+	}))
 	env.eng.RunFor(20 * sim.Millisecond)
 	if th.State() != StateDead {
 		t.Fatalf("state = %v", th.State())
@@ -298,59 +300,13 @@ func TestSetAffinityMigrates(t *testing.T) {
 func TestSleepDuration(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	var woke sim.Time
-	env.k.Spawn(SpawnOpts{Name: "s", Class: env.cfs}, func(tc *TaskContext) {
+	env.k.Spawn(SpawnOpts{Name: "s", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Sleep(5 * sim.Millisecond)
 		woke = tc.Now()
-	})
+	}))
 	env.eng.RunFor(20 * sim.Millisecond)
 	if woke < 5*sim.Millisecond || woke > 5*sim.Millisecond+10*sim.Microsecond {
 		t.Fatalf("woke at %v, want ~5ms", woke)
-	}
-}
-
-func TestMailboxFIFO(t *testing.T) {
-	env := newTestEnv(t, oneCPUTopo())
-	mb := NewMailbox[int](env.k)
-	var got []int
-	env.k.Spawn(SpawnOpts{Name: "consumer", Class: env.cfs}, func(tc *TaskContext) {
-		for i := 0; i < 5; i++ {
-			got = append(got, mb.Get(tc))
-			tc.Run(sim.Microsecond)
-		}
-	})
-	for i := 0; i < 5; i++ {
-		i := i
-		env.eng.At(sim.Time(i+1)*sim.Millisecond, func() { mb.Put(i) })
-	}
-	env.eng.RunFor(20 * sim.Millisecond)
-	if len(got) != 5 {
-		t.Fatalf("got %d items", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-}
-
-func TestWaitQueueWakeAll(t *testing.T) {
-	env := newTestEnv(t, smallTopo())
-	wq := NewWaitQueue(env.k)
-	woken := 0
-	for i := 0; i < 3; i++ {
-		env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, func(tc *TaskContext) {
-			wq.Wait(tc)
-			woken++
-		})
-	}
-	env.eng.RunFor(sim.Millisecond)
-	if wq.Len() != 3 {
-		t.Fatalf("waiters = %d", wq.Len())
-	}
-	wq.WakeAll()
-	env.eng.RunFor(sim.Millisecond)
-	if woken != 3 {
-		t.Fatalf("woken = %d", woken)
 	}
 }
 
@@ -363,11 +319,11 @@ func TestMicroQuantaThrottling(t *testing.T) {
 
 	// One spinning MicroQuanta thread plus one CFS thread on a single
 	// CPU: MQ should get ~90% (0.9ms/1ms), CFS the blackout remainder.
-	spin := func(tc *TaskContext) {
+	spin := sequential.Body(func(tc *sequential.Task) {
 		for {
 			tc.Run(50 * sim.Microsecond)
 		}
-	}
+	})
 	rt := k.Spawn(SpawnOpts{Name: "rt", Class: mq}, spin)
 	batch := k.Spawn(SpawnOpts{Name: "batch", Class: cfs}, spin)
 	eng.RunFor(100 * sim.Millisecond)
@@ -389,17 +345,17 @@ func TestMicroQuantaPreemptsCFS(t *testing.T) {
 	cfs := NewCFS(k)
 	defer k.Shutdown()
 
-	k.Spawn(SpawnOpts{Name: "batch", Class: cfs}, func(tc *TaskContext) {
+	k.Spawn(SpawnOpts{Name: "batch", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 		for {
 			tc.Run(sim.Millisecond)
 		}
-	})
+	}))
 	var latency sim.Duration
-	rt := k.Spawn(SpawnOpts{Name: "rt", Class: mq}, func(tc *TaskContext) {
+	rt := k.Spawn(SpawnOpts{Name: "rt", Class: mq}, sequential.Body(func(tc *sequential.Task) {
 		tc.Block()
 		latency = tc.Now() - tc.Thread().WakeTime()
 		tc.Run(10 * sim.Microsecond)
-	})
+	}))
 	eng.RunFor(5 * sim.Millisecond)
 	k.Wake(rt)
 	eng.RunFor(5 * sim.Millisecond)
@@ -421,14 +377,14 @@ func TestDeterminism(t *testing.T) {
 		r := sim.NewRand(7)
 		var a, b *Thread
 		for i := 0; i < 6; i++ {
-			th := k.Spawn(SpawnOpts{Name: "w", Class: cfs}, func(tc *TaskContext) {
+			th := k.Spawn(SpawnOpts{Name: "w", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 				for j := 0; j < 50; j++ {
 					tc.Run(sim.Duration(10+r.Intn(90)) * sim.Microsecond)
 					if j%7 == 0 {
 						tc.Sleep(sim.Duration(r.Intn(100)) * sim.Microsecond)
 					}
 				}
-			})
+			}))
 			if i == 0 {
 				a = th
 			}
@@ -516,16 +472,16 @@ func TestAgentPreemptsEverything(t *testing.T) {
 	cfs := NewCFS(k)
 	defer k.Shutdown()
 
-	k.Spawn(SpawnOpts{Name: "cfs", Class: cfs}, func(tc *TaskContext) {
+	k.Spawn(SpawnOpts{Name: "cfs", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 		for {
 			tc.Run(sim.Millisecond)
 		}
-	})
-	k.Spawn(SpawnOpts{Name: "mq", Class: mq}, func(tc *TaskContext) {
+	}))
+	k.Spawn(SpawnOpts{Name: "mq", Class: mq}, sequential.Body(func(tc *sequential.Task) {
 		for {
 			tc.Run(100 * sim.Microsecond)
 		}
-	})
+	}))
 	eng.RunFor(2 * sim.Millisecond)
 
 	var ranAt sim.Time
@@ -551,11 +507,11 @@ func TestSetClassMoves(t *testing.T) {
 	mq := NewMicroQuanta(k)
 	cfs := NewCFS(k)
 	defer k.Shutdown()
-	th := k.Spawn(SpawnOpts{Name: "w", Class: cfs}, func(tc *TaskContext) {
+	th := k.Spawn(SpawnOpts{Name: "w", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 		for i := 0; i < 1000; i++ {
 			tc.Run(100 * sim.Microsecond)
 		}
-	})
+	}))
 	eng.RunFor(sim.Millisecond)
 	k.SetClass(th, mq)
 	if th.Class() != Class(mq) {
@@ -569,9 +525,9 @@ func TestSetClassMoves(t *testing.T) {
 
 func TestThreadsListing(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
-	th := env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, func(tc *TaskContext) {
+	th := env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(sim.Microsecond)
-	})
+	}))
 	if len(env.k.Threads()) != 1 {
 		t.Fatal("live thread not listed")
 	}
@@ -586,11 +542,11 @@ func TestThreadsListing(t *testing.T) {
 
 func TestBusyAccountingSums(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
-	env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, func(tc *TaskContext) {
+	env.k.Spawn(SpawnOpts{Name: "w", Class: env.cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(2 * sim.Millisecond)
 		tc.Sleep(2 * sim.Millisecond)
 		tc.Run(2 * sim.Millisecond)
-	})
+	}))
 	env.eng.RunFor(10 * sim.Millisecond)
 	busy := env.k.CPU(0).BusyTime()
 	if busy < 4*sim.Millisecond || busy > 4*sim.Millisecond+100*sim.Microsecond {
@@ -603,13 +559,13 @@ func TestMigrationPenaltyCharged(t *testing.T) {
 	// physical core), pays a cache-warmup penalty.
 	env := newTestEnv(t, smallTopo())
 	var t1, t2 sim.Time
-	th := env.k.Spawn(SpawnOpts{Name: "m", Class: env.cfs, Affinity: MaskOf(0)}, func(tc *TaskContext) {
+	th := env.k.Spawn(SpawnOpts{Name: "m", Class: env.cfs, Affinity: MaskOf(0)}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(100 * sim.Microsecond)
 		t1 = tc.Now()
 		tc.SetAffinity(MaskOf(1))
 		tc.Run(100 * sim.Microsecond)
 		t2 = tc.Now()
-	})
+	}))
 	_ = th
 	env.eng.RunFor(10 * sim.Millisecond)
 	if t1 == 0 || t2 == 0 {
@@ -671,10 +627,10 @@ func TestTickOverheadInjection(t *testing.T) {
 	cfs := NewCFS(k)
 	defer k.Shutdown()
 	var done sim.Time
-	k.Spawn(SpawnOpts{Name: "w", Class: cfs}, func(tc *TaskContext) {
+	k.Spawn(SpawnOpts{Name: "w", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(5 * sim.Millisecond)
 		done = tc.Now()
-	})
+	}))
 	eng.RunFor(20 * sim.Millisecond)
 	// 5ms of work crosses ~5 ticks, each adding 10us: completion should
 	// exceed the no-overhead time by roughly 4-6 tick costs.
@@ -699,10 +655,10 @@ func TestTicklessSkipsOverheadAndTicks(t *testing.T) {
 	hookFired := 0
 	k.AddTickHook(func(*CPU) { hookFired++ })
 	var done sim.Time
-	k.Spawn(SpawnOpts{Name: "w", Class: cfs}, func(tc *TaskContext) {
+	k.Spawn(SpawnOpts{Name: "w", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(5 * sim.Millisecond)
 		done = tc.Now()
-	})
+	}))
 	eng.RunFor(20 * sim.Millisecond)
 	if want := 5*sim.Millisecond + cost.ContextSwitchCFS; done != want {
 		t.Fatalf("tickless completion = %v, want %v", done, want)

@@ -1,6 +1,8 @@
-package kernel
+package kernel_test
 
 import (
+	. "ghost/internal/kernel"
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/hw"
@@ -38,7 +40,7 @@ func TestKernelStressInvariants(t *testing.T) {
 			}
 		}
 		th := k.Spawn(SpawnOpts{Name: "w", Class: cls, Affinity: aff, Nice: r.Intn(10) - 5},
-			func(tc *TaskContext) {
+			sequential.Body(func(tc *sequential.Task) {
 				lr := sim.NewRand(uint64(tc.TID()))
 				for it := 0; it < 300; it++ {
 					switch lr.Intn(4) {
@@ -58,7 +60,7 @@ func TestKernelStressInvariants(t *testing.T) {
 						tc.Run(sim.Duration(1+lr.Intn(50)) * sim.Microsecond)
 					}
 				}
-			})
+			}))
 		threads = append(threads, th)
 	}
 
@@ -125,7 +127,7 @@ func TestKernelStressDeterminism(t *testing.T) {
 		var total sim.Duration
 		var ths []*Thread
 		for i := 0; i < 12; i++ {
-			ths = append(ths, k.Spawn(SpawnOpts{Name: "w", Class: cfs}, func(tc *TaskContext) {
+			ths = append(ths, k.Spawn(SpawnOpts{Name: "w", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 				lr := sim.NewRand(uint64(tc.TID()) * 31)
 				for it := 0; it < 100; it++ {
 					tc.Run(sim.Duration(1+lr.Intn(100)) * sim.Microsecond)
@@ -133,7 +135,7 @@ func TestKernelStressDeterminism(t *testing.T) {
 						tc.Sleep(sim.Duration(lr.Intn(50)) * sim.Microsecond)
 					}
 				}
-			}))
+			})))
 		}
 		eng.RunFor(40 * sim.Millisecond)
 		for _, th := range ths {
@@ -158,11 +160,11 @@ func TestCPUTimeConservation(t *testing.T) {
 	defer k.Shutdown()
 	var ths []*Thread
 	for i := 0; i < 6; i++ {
-		ths = append(ths, k.Spawn(SpawnOpts{Name: "w", Class: cfs}, func(tc *TaskContext) {
+		ths = append(ths, k.Spawn(SpawnOpts{Name: "w", Class: cfs}, sequential.Body(func(tc *sequential.Task) {
 			for {
 				tc.Run(100 * sim.Microsecond)
 			}
-		}))
+		})))
 	}
 	const dur = 50 * sim.Millisecond
 	eng.RunFor(dur)
@@ -185,11 +187,11 @@ func TestUsageReport(t *testing.T) {
 	k := New(eng, topo, hw.DefaultCostModel())
 	cfs := NewCFS(k)
 	defer k.Shutdown()
-	k.Spawn(SpawnOpts{Name: "spin-a", Class: cfs, Affinity: MaskOf(0)}, func(tc *TaskContext) {
+	k.Spawn(SpawnOpts{Name: "spin-a", Class: cfs, Affinity: MaskOf(0)}, sequential.Body(func(tc *sequential.Task) {
 		for {
 			tc.Run(100 * sim.Microsecond)
 		}
-	})
+	}))
 	eng.RunFor(10 * sim.Millisecond)
 	r := k.Usage()
 	if r.CPUBusy[0] < 0.95 {

@@ -38,10 +38,21 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// ThreadFunc is a simulated thread body. It runs in its own goroutine and
-// interacts with the simulated kernel exclusively through the TaskContext;
-// plain Go code between TaskContext calls executes in zero simulated time.
-type ThreadFunc func(tc *TaskContext)
+// ThreadFunc is a resumable simulated thread body. The kernel calls it
+// on the engine goroutine at each of the thread's resume points: at
+// Spawn, when a Run or Yield it returned has completed, and when a Wake
+// ends a Block it returned. Each call does the body's instantaneous work
+// (Go code takes no simulated time) and returns the thread's next Op. A
+// body keeps its own resume state; tc is the same on every call.
+type ThreadFunc func(tc *TaskContext) Op
+
+// Op is a thread body's next request to the kernel, returned from its
+// ThreadFunc and built by the TaskContext. The zero Op exits the thread,
+// like Exit.
+type Op struct {
+	kind actionKind
+	dur  sim.Duration
+}
 
 // Stepper is the callback-driven execution alternative used for scheduler
 // agents and dataplane pollers: when the thread is on CPU with no pending
@@ -106,11 +117,12 @@ type Thread struct {
 	targetCPU hw.CPUID // placement chosen at wake; queue key for per-CPU classes
 	lastCPU   hw.CPUID // where the thread last ran, NoCPU if never
 
-	// Execution machinery: exactly one of reqCh/stepper is set.
-	reqCh    chan action
-	resCh    chan struct{}
-	chClosed bool
-	stepper  Stepper
+	// Execution machinery: exactly one of body/stepper is set. tc is the
+	// body's context, one per thread for its whole life.
+	fn      ThreadFunc
+	tc      TaskContext
+	atExit  func()
+	stepper Stepper
 
 	curKind     actionKind
 	pendingWork sim.Duration // remaining CPU work of the current action
@@ -240,39 +252,21 @@ func (t *Thread) String() string {
 	return fmt.Sprintf("T%d(%s,%s)", t.tid, t.name, t.state)
 }
 
-// errShutdown is panicked into thread goroutines on Kernel.Shutdown so
-// they unwind and exit.
-type errShutdown struct{}
-
-// threadMain is the goroutine wrapper for body-based threads.
-func (t *Thread) threadMain(body ThreadFunc) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(errShutdown); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
-	body(&TaskContext{t: t})
-	t.reqCh <- action{kind: actExit}
-}
-
-// submit sends the next action to the kernel and waits for completion.
-// Called from the thread goroutine only.
-func (t *Thread) submit(a action) {
-	t.reqCh <- a
-	if _, ok := <-t.resCh; !ok {
-		panic(errShutdown{})
-	}
-}
-
-// nextAction fetches the thread's next action: for body threads it reads
-// the goroutine's next request; for stepper threads it invokes Step and
-// translates the disposition. Engine-goroutine only.
+// nextAction fetches the thread's next action: for body threads it
+// resumes the body (a Run(0) is no action, so the body resumes again at
+// once); for stepper threads it invokes Step and translates the
+// disposition. Engine-goroutine only.
 func (t *Thread) nextAction() action {
 	if t.stepper == nil {
-		return <-t.reqCh
+		for {
+			op := t.fn(&t.tc)
+			switch {
+			case op.kind == actNone:
+				return action{kind: actExit}
+			case op.kind != actRun || op.dur != 0:
+				return action{kind: op.kind, dur: op.dur}
+			}
+		}
 	}
 	t.poked = false
 	cost, disp := t.stepper.Step(t.k.eng.Now())
@@ -307,9 +301,9 @@ func (t *Thread) nextAction() action {
 	return action{kind: actRun, dur: cost, then: t.afterFn}
 }
 
-// TaskContext is the interface a simulated thread body uses to interact
-// with the kernel. All methods must be called only from the thread's own
-// goroutine (i.e. inside its ThreadFunc).
+// TaskContext is a thread body's handle on the kernel. The kernel hands
+// the same TaskContext to every call of the thread's ThreadFunc; its
+// methods must only be used from inside those calls.
 type TaskContext struct {
 	t *Thread
 }
@@ -320,37 +314,40 @@ func (tc *TaskContext) Thread() *Thread { return tc.t }
 // Now returns the current simulated time.
 func (tc *TaskContext) Now() sim.Time { return tc.t.k.eng.Now() }
 
-// Run consumes d nanoseconds of CPU time. The call returns once the work
-// has been executed; with preemptions or SMT contention the elapsed
-// simulated time can be much larger than d.
-func (tc *TaskContext) Run(d sim.Duration) {
+// Run consumes d nanoseconds of CPU time; the body resumes once the work
+// has been executed. With preemptions or SMT contention the elapsed
+// simulated time can be much larger than d. Run(0) is no action: the
+// body resumes immediately.
+func (tc *TaskContext) Run(d sim.Duration) Op {
 	if d < 0 {
 		panic("kernel: Run with negative duration")
 	}
-	if d == 0 {
-		return
-	}
-	tc.t.submit(action{kind: actRun, dur: d})
+	return Op{kind: actRun, dur: d}
 }
 
-// Block suspends the thread until another thread calls Wake on it. If a
-// Wake arrived since the last Block, it returns immediately.
-func (tc *TaskContext) Block() {
-	tc.t.submit(action{kind: actBlock})
-}
+// Block suspends the thread until another thread or event calls Wake on
+// it. If a Wake arrived since the last Block, the body resumes at once.
+func (tc *TaskContext) Block() Op { return Op{kind: actBlock} }
 
-// Sleep blocks the thread for d nanoseconds of simulated time.
-func (tc *TaskContext) Sleep(d sim.Duration) {
+// Sleep blocks the thread for d nanoseconds of simulated time: the wake
+// is scheduled now, when the body returns the Op.
+func (tc *TaskContext) Sleep(d sim.Duration) Op {
 	t := tc.t
 	t.k.SchedulerFor(t.lastCPU).AfterCall(d, t.k.wakeFn, t)
-	tc.Block()
+	return Op{kind: actBlock}
 }
 
 // Yield relinquishes the CPU, moving the thread to the back of its
-// class's runqueue.
-func (tc *TaskContext) Yield() {
-	tc.t.submit(action{kind: actYield})
-}
+// class's runqueue; the body resumes when the thread runs again.
+func (tc *TaskContext) Yield() Op { return Op{kind: actYield} }
+
+// Exit terminates the thread.
+func (tc *TaskContext) Exit() Op { return Op{kind: actExit} }
+
+// AtExit registers fn to run once when the thread dies by Exit, Kill or
+// Kernel.Shutdown, replacing any earlier fn: bodies holding resources
+// outside the simulation (a goroutine) release them there.
+func (tc *TaskContext) AtExit(fn func()) { tc.t.atExit = fn }
 
 // SetAffinity restricts the thread to the given CPUs. Takes effect on the
 // next scheduling decision; notifies the scheduling class (for ghOSt this

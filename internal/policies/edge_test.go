@@ -1,6 +1,7 @@
 package policies_test
 
 import (
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/agentsdk"
@@ -50,17 +51,17 @@ func TestSearchHoldForCCX(t *testing.T) {
 
 	// Fill CCX 0 (CPUs 0,1,4,5) with long runners; agent is on CPU 0.
 	for i := 0; i < 3; i++ {
-		e.enc.SpawnThread(kernel.SpawnOpts{Name: "hog"}, func(tc *kernel.TaskContext) {
+		e.enc.SpawnThread(kernel.SpawnOpts{Name: "hog"}, sequential.Body(func(tc *sequential.Task) {
 			tc.Run(2 * sim.Millisecond)
-		})
+		}))
 	}
 	e.eng.RunFor(100 * sim.Microsecond)
 	// A thread with history in CCX 0 wakes; its CCX is busy.
-	w := e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+	w := e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(10 * sim.Microsecond)
 		tc.Block()
 		tc.Run(10 * sim.Microsecond)
-	})
+	}))
 	e.eng.RunFor(sim.Millisecond)
 	e.k.Wake(w)
 	e.eng.RunFor(5 * sim.Millisecond)
@@ -73,12 +74,12 @@ func TestCentralFIFOAffinityRespected(t *testing.T) {
 	e := newEnv(t, topo8(), kernel.MaskAll(8))
 	agentsdk.Start(e.k, e.enc, e.ac, policies.NewCentralFIFO(), agentsdk.Global())
 	th := e.enc.SpawnThread(kernel.SpawnOpts{Name: "w", Affinity: kernel.MaskOf(3)},
-		func(tc *kernel.TaskContext) {
+		sequential.Body(func(tc *sequential.Task) {
 			for i := 0; i < 20; i++ {
 				tc.Run(20 * sim.Microsecond)
 				tc.Yield()
 			}
-		})
+		}))
 	e.eng.RunFor(10 * sim.Millisecond)
 	if th.State() != kernel.StateDead {
 		t.Fatalf("state = %v", th.State())
@@ -102,12 +103,12 @@ func TestCoreSchedWithCFSInterference(t *testing.T) {
 		})
 	// CFS daemon wakes periodically on CPU 2.
 	daemon := e.k.Spawn(kernel.SpawnOpts{Name: "daemon", Class: e.cfs, Affinity: kernel.MaskOf(2)},
-		func(tc *kernel.TaskContext) {
+		sequential.Body(func(tc *sequential.Task) {
 			for i := 0; i < 100; i++ {
 				tc.Run(50 * sim.Microsecond)
 				tc.Sleep(200 * sim.Microsecond)
 			}
-		})
+		}))
 	e.eng.RunFor(40 * sim.Millisecond)
 	if ic.Violations != 0 {
 		t.Fatalf("violations = %d", ic.Violations)
@@ -126,9 +127,9 @@ func TestShinjukuQueueAccounting(t *testing.T) {
 	agentsdk.Start(e.k, e.enc, e.ac, pol, agentsdk.Global())
 	var ths []*kernel.Thread
 	for i := 0; i < 5; i++ {
-		ths = append(ths, e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+		ths = append(ths, e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 			tc.Run(100 * sim.Microsecond)
-		}))
+		})))
 	}
 	e.eng.RunFor(20 * sim.Millisecond)
 	for i, th := range ths {

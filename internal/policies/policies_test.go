@@ -1,6 +1,7 @@
 package policies_test
 
 import (
+	"ghost/internal/sequential"
 	"testing"
 
 	"ghost/internal/agentsdk"
@@ -43,9 +44,9 @@ func TestShinjukuTimeslicePreemption(t *testing.T) {
 	agentsdk.Start(e.k, e.enc, e.ac, pol, agentsdk.Global())
 
 	// A long request occupies the single worker CPU (cpu 1).
-	long := e.enc.SpawnThread(kernel.SpawnOpts{Name: "long"}, func(tc *kernel.TaskContext) {
+	long := e.enc.SpawnThread(kernel.SpawnOpts{Name: "long"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(sim.Millisecond)
-	})
+	}))
 	e.eng.RunFor(10 * sim.Microsecond)
 	if long.State() != kernel.StateRunning {
 		t.Fatalf("long state = %v", long.State())
@@ -53,10 +54,10 @@ func TestShinjukuTimeslicePreemption(t *testing.T) {
 	// A short request arrives; the 30us slice must bound its wait.
 	var shortDone sim.Time
 	start := e.eng.Now()
-	e.enc.SpawnThread(kernel.SpawnOpts{Name: "short"}, func(tc *kernel.TaskContext) {
+	e.enc.SpawnThread(kernel.SpawnOpts{Name: "short"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(10 * sim.Microsecond)
 		shortDone = tc.Now()
-	})
+	}))
 	e.eng.RunFor(200 * sim.Microsecond)
 	if shortDone == 0 {
 		t.Fatal("short request starved")
@@ -76,14 +77,14 @@ func TestShinjukuRoundRobin(t *testing.T) {
 	e := newEnv(t, topo8(), kernel.MaskOf(0, 1))
 	agentsdk.Start(e.k, e.enc, e.ac, policies.NewShinjuku(), agentsdk.Global())
 	var d1, d2 sim.Time
-	e.enc.SpawnThread(kernel.SpawnOpts{Name: "a"}, func(tc *kernel.TaskContext) {
+	e.enc.SpawnThread(kernel.SpawnOpts{Name: "a"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(300 * sim.Microsecond)
 		d1 = tc.Now()
-	})
-	e.enc.SpawnThread(kernel.SpawnOpts{Name: "b"}, func(tc *kernel.TaskContext) {
+	}))
+	e.enc.SpawnThread(kernel.SpawnOpts{Name: "b"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(300 * sim.Microsecond)
 		d2 = tc.Now()
-	})
+	}))
 	e.eng.RunFor(5 * sim.Millisecond)
 	if d1 == 0 || d2 == 0 {
 		t.Fatal("threads did not finish")
@@ -128,21 +129,21 @@ func TestSearchLeastRuntimeFirst(t *testing.T) {
 	agentsdk.Start(e.k, e.enc, e.ac, policies.NewSearch(), agentsdk.Global())
 	// Thread "old" accumulates runtime; thread "new" arrives with none.
 	// When both wait for the one worker CPU, "new" must win.
-	old := e.enc.SpawnThread(kernel.SpawnOpts{Name: "old"}, func(tc *kernel.TaskContext) {
+	old := e.enc.SpawnThread(kernel.SpawnOpts{Name: "old"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(100 * sim.Microsecond)
 		tc.Block()
 		tc.Run(100 * sim.Microsecond)
-	})
+	}))
 	e.eng.RunFor(sim.Millisecond) // old ran once, now blocked
-	hog := e.enc.SpawnThread(kernel.SpawnOpts{Name: "hog"}, func(tc *kernel.TaskContext) {
+	hog := e.enc.SpawnThread(kernel.SpawnOpts{Name: "hog"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(50 * sim.Microsecond)
-	})
+	}))
 	_ = hog
 	var newDone, oldDone sim.Time
-	fresh := e.enc.SpawnThread(kernel.SpawnOpts{Name: "fresh"}, func(tc *kernel.TaskContext) {
+	fresh := e.enc.SpawnThread(kernel.SpawnOpts{Name: "fresh"}, sequential.Body(func(tc *sequential.Task) {
 		tc.Run(50 * sim.Microsecond)
 		newDone = tc.Now()
-	})
+	}))
 	_ = fresh
 	e.k.Wake(old) // old rejoins the queue with 100us runtime
 	e.eng.RunFor(0)
@@ -164,14 +165,14 @@ func TestSearchCCXLocality(t *testing.T) {
 	agentsdk.Start(e.k, e.enc, e.ac, policies.NewSearch(), agentsdk.Global())
 	// A worker that runs and blocks repeatedly; it should stay within
 	// its CCX even though other CCX CPUs are also idle.
-	w := e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+	w := e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 		for i := 0; i < 20; i++ {
 			tc.Run(20 * sim.Microsecond)
 			if i < 19 {
 				tc.Block()
 			}
 		}
-	})
+	}))
 	sim.NewTicker(e.eng, 100*sim.Microsecond, func(sim.Time) {
 		if w.State() == kernel.StateBlocked {
 			e.k.Wake(w)

@@ -3,6 +3,7 @@ package policies_test
 import (
 	"bytes"
 	"flag"
+	"ghost/internal/sequential"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,12 +28,12 @@ func midRunState(t *testing.T, pol agentsdk.PolicySnapshotter) []byte {
 	for i := 0; i < 12; i++ {
 		run := sim.Duration(20+7*i) * sim.Microsecond
 		sleep := sim.Duration(15*(i%4+1)) * sim.Microsecond
-		e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, func(tc *kernel.TaskContext) {
+		e.enc.SpawnThread(kernel.SpawnOpts{Name: "w"}, sequential.Body(func(tc *sequential.Task) {
 			for {
 				tc.Run(run)
 				tc.Sleep(sleep)
 			}
-		})
+		}))
 	}
 	e.eng.RunFor(1234 * sim.Microsecond)
 	data, err := pol.SnapshotSave()

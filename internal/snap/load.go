@@ -262,15 +262,15 @@ func spawnBody(t *Target, ctx *RestoreCtx, opts LoadOpts, tidEnc map[int]int, re
 		// State is overlaid after the spawn; the seed is a placeholder.
 		r = sim.NewRand(1)
 	}
-	fn, err := f(ctx, *rec.Body, r, Resume{Resuming: true, InRun: rec.ParkedInRun()})
-	if err != nil {
-		return fmt.Errorf("snap: thread T%d (%s): %w", rec.TID, rec.Name, err)
-	}
+	// The thread is spawned parked, so its body is first called after the
+	// factory, which gets the thread, has built it.
+	var fn kernel.ThreadFunc
+	body := func(tc *kernel.TaskContext) kernel.Op { return fn(tc) }
 	var aff kernel.Mask
 	for _, id := range rec.Affinity {
 		aff.Set(hw.CPUID(id))
 	}
-	sopts := kernel.SpawnOpts{Name: rec.Name, Affinity: aff, Nice: rec.Nice}
+	sopts := kernel.SpawnOpts{Name: rec.Name, Affinity: aff, Nice: rec.Nice, Restored: true}
 	if rec.Tag != nil {
 		sopts.Tag = int(*rec.Tag)
 	}
@@ -281,16 +281,19 @@ func spawnBody(t *Target, ctx *RestoreCtx, opts LoadOpts, tidEnc map[int]int, re
 		if enc == nil {
 			return fmt.Errorf("snap: ghost thread T%d (%s) belongs to no known enclave", rec.TID, rec.Name)
 		}
-		th = enc.SpawnThread(sopts, fn)
+		th = enc.SpawnThread(sopts, body)
 	} else {
 		sopts.Class = t.K.Class(rec.Class)
 		if sopts.Class == nil {
 			return fmt.Errorf("snap: thread T%d (%s): unknown class %q", rec.TID, rec.Name, rec.Class)
 		}
-		th = t.K.Spawn(sopts, fn)
+		th = t.K.Spawn(sopts, body)
 	}
 	if int(th.TID()) != rec.TID {
 		return fmt.Errorf("snap: thread %s re-spawned as T%d, snapshot has T%d", rec.Name, th.TID(), rec.TID)
+	}
+	if fn, err = f(ctx, *rec.Body, r, Resume{Resuming: true, InRun: rec.ParkedInRun(), Thread: th}); err != nil {
+		return fmt.Errorf("snap: thread T%d (%s): %w", rec.TID, rec.Name, err)
 	}
 	th.SetBodyDesc(&kernel.BodyDesc{Kind: rec.Body.Kind, Key: rec.Body.Key, Args: append([]int64(nil), rec.Body.Args...), Rand: r})
 	return nil

@@ -9,12 +9,13 @@
 // byte-identical going forward: digest(run 0→T) equals
 // digest(restore(snap@t), run t→T) at any shard count.
 //
-// Live goroutine stacks are never serialized. Thread bodies parked in
-// Run or Block are re-spawned from registered body factories whose
-// continuation is fully determined by the parked action kind; agent
-// steppers are goroutine-free state machines and re-spawn via
-// agentsdk.Start. Construction side effects of the re-spawn pass are
-// erased by an engine Reset before the serialized state is overlaid.
+// Thread bodies are resumable functions, so a body's whole continuation
+// is its own state. Body threads parked in Run or Block are re-spawned
+// parked, with bodies that registered factories rebuild directly in
+// their resume state (the first call happens where the parked action
+// completes); agent steppers re-spawn via agentsdk.Start. Construction
+// side effects of the re-spawn pass are erased by an engine Reset before
+// the serialized state is overlaid.
 package snap
 
 import (
@@ -27,15 +28,20 @@ import (
 )
 
 // Resume tells a body factory where the serialized thread was parked, so
-// the rebuilt body re-submits exactly that action first.
+// the rebuilt body is in the state it had there. The body is not called
+// at the re-spawn: its first call is the parked action's resume point.
 type Resume struct {
 	// Resuming is false when the factory is building a body for a fresh
 	// spawn (facade SpawnBody) rather than a snapshot restore.
 	Resuming bool
-	// InRun: the thread was parked inside Run (the overlay restores the
-	// remaining work); otherwise it was parked inside Block (a pending
-	// wake, if any, is restored as an event or the WakePending flag).
+	// InRun: the thread was parked in a Run (the overlay restores the
+	// remaining work, and the body is next called once it is done);
+	// otherwise it was parked in a Block (a pending wake, if any, is
+	// restored as an event or the WakePending flag).
 	InRun bool
+	// Thread is the re-spawned thread (nil for a fresh spawn), for
+	// bodies whose owner tracks its threads.
+	Thread *kernel.Thread
 }
 
 // BodyFactory rebuilds a thread body from its serialized descriptor.

@@ -33,12 +33,12 @@ func scenario(t *testing.T) ([]byte, *ghost.Metrics) {
 	enc := m.NewEnclave(ghost.MaskOf(1, 2, 3), ghost.WithWatchdog(50*ghost.Millisecond))
 	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
 
-	worker := func(tc *ghost.Task) {
+	worker := ghost.Sequential(func(tc *ghost.SeqTask) {
 		for i := 0; i < 40; i++ {
 			tc.Run(5 * ghost.Microsecond)
 			tc.Sleep(20 * ghost.Microsecond)
 		}
-	}
+	})
 	for i := 0; i < 3; i++ {
 		m.Spawn(ghost.ThreadOpts{Name: "gw", Class: ghost.Ghost(enc)}, worker)
 	}
@@ -105,12 +105,12 @@ func faultScenario(t *testing.T) ([]byte, *ghost.Metrics) {
 	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global(),
 		ghost.WithUpgradePolicy(func() any { return ghost.NewFIFOPolicy() }))
 
-	worker := func(tc *ghost.Task) {
+	worker := ghost.Sequential(func(tc *ghost.SeqTask) {
 		for i := 0; i < 40; i++ {
 			tc.Run(5 * ghost.Microsecond)
 			tc.Sleep(20 * ghost.Microsecond)
 		}
-	}
+	})
 	for i := 0; i < 3; i++ {
 		m.Spawn(ghost.ThreadOpts{Name: "gw", Class: ghost.Ghost(enc)}, worker)
 	}
@@ -265,12 +265,12 @@ func TestDisabledTracer(t *testing.T) {
 	})
 	m := ghost.NewMachine(topo)
 	defer m.Shutdown()
-	m.Spawn(ghost.ThreadOpts{Name: "w"}, func(tc *ghost.Task) {
+	m.Spawn(ghost.ThreadOpts{Name: "w"}, ghost.Sequential(func(tc *ghost.SeqTask) {
 		for i := 0; i < 10; i++ {
 			tc.Run(5 * ghost.Microsecond)
 			tc.Sleep(5 * ghost.Microsecond)
 		}
-	})
+	}))
 	m.Run(ghost.Millisecond)
 
 	if m.Tracer().Enabled() {

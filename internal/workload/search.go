@@ -29,7 +29,7 @@ type Search struct {
 	poolA   [2]*WorkerPool // per-socket pools
 	poolB   *WorkerPool
 	poolC   *WorkerPool
-	servers []*kernel.Mailbox[*Request]
+	servers []*server[*Request]
 
 	// Per-type live recorders, reset every sampling period.
 	recs [3]*LatencyRecorder
@@ -100,57 +100,51 @@ func NewSearch(k *kernel.Kernel, cfg SearchConfig,
 	// A is memory-bound: being re-dispatched onto a different CCX than
 	// the worker last ran on costs a cold-cache factor — the effect the
 	// §4.4 CCX-aware placement optimization targets.
-	prevCCX := make(map[kernel.TID]int)
-	for sock := 0; sock < 2 && sock < topo.NumSockets(); sock++ {
-		mask := kernel.MaskOf(topo.CPUsOfSocket(sock)...)
-		rec := s.recs[QueryA]
-		s.poolA[sock] = newSearchPool(k, cfg.WorkersA/2, rec, s.Totals[QueryA],
-			func(name string, body kernel.ThreadFunc) *kernel.Thread {
-				return spawnWorker(name+"-A", mask, body)
-			},
-			func(tc *kernel.TaskContext, r *Request) {
-				svc := r.Service
-				cpu := tc.Thread().OnCPU()
-				if cpu >= 0 {
-					ccx := topo.CPU(cpu).CCX
-					if last, ok := prevCCX[tc.TID()]; ok && last != ccx {
-						svc = svc * 135 / 100 // cold L3
-					}
-					prevCCX[tc.TID()] = ccx
-				}
-				tc.Run(svc)
-			})
+	newPool := func(qt, n int, aff kernel.Mask, serve serveFunc) *WorkerPool {
+		p := &WorkerPool{k: k, rec: s.recs[qt], total: s.Totals[qt], serve: serve}
+		p.spawnWorkers(n, fmt.Sprintf("w%%d-%c", 'A'+qt), func(name string, body kernel.ThreadFunc) *kernel.Thread {
+			return spawnWorker(name, aff, body)
+		})
+		return p
 	}
-	// Type B: SSD-bound short workers, any CPU.
-	s.poolB = newSearchPool(k, cfg.WorkersB, s.recs[QueryB], s.Totals[QueryB],
-		func(name string, body kernel.ThreadFunc) *kernel.Thread {
-			return spawnWorker(name+"-B", kernel.Mask{}, body)
-		},
-		func(tc *kernel.TaskContext, r *Request) {
-			tc.Run(r.Service / 2)
-			tc.Sleep(ssdWait)
-			tc.Run(r.Service / 2)
+	prevCCX := make(map[kernel.TID]int)
+	serveA := func(tc *kernel.TaskContext, r *Request, step int) (kernel.Op, bool) {
+		if step > 0 {
+			return kernel.Op{}, false
+		}
+		svc := r.Service
+		if cpu := tc.Thread().OnCPU(); cpu >= 0 {
+			ccx := topo.CPU(cpu).CCX
+			if last, ok := prevCCX[tc.TID()]; ok && last != ccx {
+				svc = svc * 135 / 100 // cold L3
+			}
+			prevCCX[tc.TID()] = ccx
+		}
+		return tc.Run(svc), true
+	}
+	for sock := 0; sock < 2 && sock < topo.NumSockets(); sock++ {
+		s.poolA[sock] = newPool(QueryA, cfg.WorkersA/2, kernel.MaskOf(topo.CPUsOfSocket(sock)...), serveA)
+	}
+	// Type B: SSD-bound short workers, any CPU: half the service, the
+	// SSD wait, the other half.
+	s.poolB = newPool(QueryB, cfg.WorkersB, kernel.Mask{},
+		func(tc *kernel.TaskContext, r *Request, step int) (kernel.Op, bool) {
+			switch step {
+			case 0, 2:
+				return tc.Run(r.Service / 2), true
+			case 1:
+				return tc.Sleep(ssdWait), true
+			}
+			return kernel.Op{}, false
 		})
 	// Type C: long-living CPU-bound workers, any CPU.
-	s.poolC = newSearchPool(k, cfg.WorkersC, s.recs[QueryC], s.Totals[QueryC],
-		func(name string, body kernel.ThreadFunc) *kernel.Thread {
-			return spawnWorker(name+"-C", kernel.Mask{}, body)
-		},
-		func(tc *kernel.TaskContext, r *Request) {
-			tc.Run(r.Service)
-		})
+	s.poolC = newPool(QueryC, cfg.WorkersC, kernel.Mask{}, runService)
 
 	// Server threads: receive queries, preprocess, dispatch.
 	for i := 0; i < cfg.Servers; i++ {
-		mb := kernel.NewMailbox[*Request](k)
-		s.servers = append(s.servers, mb)
-		spawnServer(fmt.Sprintf("search-server-%d", i), func(tc *kernel.TaskContext) {
-			for {
-				q := mb.Get(tc)
-				tc.Run(preprocess)
-				s.dispatch(q)
-			}
-		})
+		srv := &server[*Request]{k: k, cost: func(*Request) sim.Duration { return preprocess }, done: s.dispatch}
+		srv.t = spawnServer(fmt.Sprintf("search-server-%d", i), srv.resume)
+		s.servers = append(s.servers, srv)
 	}
 
 	// Arrival processes.
@@ -172,7 +166,7 @@ func (s *Search) startArrivals(qt int, rate float64, svc ServiceDist) {
 		s.eng.After(r.Exp(mean), func() {
 			q := &Request{ID: uint64(i), Arrival: s.eng.Now(), Class: qt, Service: svc.Sample(r)}
 			q.Remaining = q.Service
-			s.servers[i%len(s.servers)].Put(q)
+			s.servers[i%len(s.servers)].put(q)
 			i++
 			arm()
 		})
@@ -210,57 +204,4 @@ func (s *Search) sample(now sim.Time, period sim.Duration) {
 		rec.Completed = 0
 		rec.Hist.Reset()
 	}
-}
-
-// newSearchPool is a WorkerPool variant with a custom service body.
-func newSearchPool(k *kernel.Kernel, n int, rec, total *LatencyRecorder,
-	spawn func(string, kernel.ThreadFunc) *kernel.Thread,
-	serve func(*kernel.TaskContext, *Request)) *WorkerPool {
-	p := &WorkerPool{k: k, rec: rec, inbox: make(map[kernel.TID]*Request)}
-	for i := 0; i < n; i++ {
-		var th *kernel.Thread
-		th = spawn(fmt.Sprintf("w%d", i), func(tc *kernel.TaskContext) {
-			self := tc.Thread()
-			for {
-				tc.Block()
-				if p.stopping {
-					return
-				}
-				r := p.inbox[self.TID()]
-				if r == nil {
-					continue
-				}
-				delete(p.inbox, self.TID())
-				serve(tc, r)
-				done := tc.Now()
-				p.rec.Record(r, done)
-				total.Record(r, done)
-				if len(p.backlog) > 0 {
-					next := p.backlog[0]
-					p.backlog = p.backlog[1:]
-					p.inbox[self.TID()] = next
-					tc.Kernel().Wake(self)
-					continue
-				}
-				p.free = append(p.free, self)
-			}
-		})
-		p.workers = append(p.workers, th)
-		p.free = append(p.free, th)
-	}
-	return p
-}
-
-// AllWorkers returns every worker thread across the pools, so an
-// experiment can move them into a ghOSt enclave.
-func (s *Search) AllWorkers() []*kernel.Thread {
-	var out []*kernel.Thread
-	for _, p := range s.poolA {
-		if p != nil {
-			out = append(out, p.Workers()...)
-		}
-	}
-	out = append(out, s.poolB.Workers()...)
-	out = append(out, s.poolC.Workers()...)
-	return out
 }

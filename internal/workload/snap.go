@@ -19,9 +19,9 @@ type Snap struct {
 	k   *kernel.Kernel
 	eng sim.Scheduler
 
-	pkts     []*snapPkt // shared packet ring (ingress + egress events)
-	sleepers *kernel.WaitQueue
-	servers  []*kernel.Mailbox[*snapPkt]
+	pkts     fifo[*snapPkt]       // shared packet ring (ingress + egress events)
+	sleepers fifo[*kernel.Thread] // workers asleep on the ring, oldest first
+	servers  []*server[*snapPkt]
 	workers  []*kernel.Thread
 
 	// Rec64B and Rec64K record RTT per size class.
@@ -82,16 +82,16 @@ func NewSnap(k *kernel.Kernel, cfg SnapConfig,
 	spawnServer func(name string, body kernel.ThreadFunc) *kernel.Thread) *Snap {
 	s := &Snap{
 		k: k, eng: k.Scheduler(),
-		sleepers: kernel.NewWaitQueue(k),
-		rand:     sim.NewRand(cfg.Seed),
+		rand: sim.NewRand(cfg.Seed),
 	}
 	for i := 0; i < cfg.Servers; i++ {
-		mb := kernel.NewMailbox[*snapPkt](k)
-		s.servers = append(s.servers, mb)
-		spawnServer(fmt.Sprintf("snap-server-%d", i), s.serverLoop(mb))
+		srv := &server[*snapPkt]{k: k, cost: s.appCost, done: s.appDone}
+		srv.t = spawnServer(fmt.Sprintf("snap-server-%d", i), srv.resume)
+		s.servers = append(s.servers, srv)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		s.workers = append(s.workers, spawnWorker(fmt.Sprintf("snap-worker-%d", i), s.workerLoop()))
+		w := &snapWorker{s: s}
+		s.workers = append(s.workers, spawnWorker(fmt.Sprintf("snap-worker-%d", i), w.resume))
 	}
 	flow := 0
 	for i := 0; i < cfg.Flows64B; i++ {
@@ -123,61 +123,86 @@ func (s *Snap) startFlow(id, class int, rate float64) {
 // post adds a packet event to the shared ring; a sleeping worker is
 // woken if none is polling (Snap's wake-on-burst behaviour, §4.3).
 func (s *Snap) post(p *snapPkt) {
-	s.pkts = append(s.pkts, p)
-	s.sleepers.WakeOne()
+	s.pkts.push(p)
+	for s.sleepers.Len() > 0 {
+		if t := s.sleepers.pop(); t.State() != kernel.StateDead {
+			s.k.Wake(t)
+			return
+		}
+	}
 }
 
-// workerLoop is a Snap worker: poll the shared packet ring (burning CPU
+// Snap worker polling: a worker that finds the ring empty polls it in
+// pollQuantum steps and goes to sleep after pollGrace with no traffic.
+const (
+	pollQuantum = 2 * sim.Microsecond
+	pollGrace   = 50 * sim.Microsecond
+)
+
+// Snap worker resume points (snapWorker.phase).
+const (
+	snapStart   = iota
+	snapPolling // a poll quantum has run
+	snapAsleep  // woken from the sleeper list
+	snapIngress // ingress processing of pkt has run
+	snapEgress  // egress processing of pkt has run
+)
+
+// snapWorker is a Snap worker: poll the shared packet ring (burning CPU
 // like real Snap pollers — this is what exhausts MicroQuanta budgets and
 // produces the paper's blackouts), process packets, and go to sleep only
 // after a polling grace period with no traffic.
-func (s *Snap) workerLoop() kernel.ThreadFunc {
-	const pollQuantum = 2 * sim.Microsecond
-	const pollGrace = 50 * sim.Microsecond
-	return func(tc *kernel.TaskContext) {
-		for {
-			var pkt *snapPkt
-			if len(s.pkts) > 0 {
-				pkt = s.pkts[0]
-				s.pkts = s.pkts[1:]
-			} else {
-				// Adaptive polling, then sleep until the next burst.
-				idle := sim.Duration(0)
-				for len(s.pkts) == 0 {
-					if idle >= pollGrace {
-						s.sleepers.Wait(tc)
-						idle = 0
-						continue
-					}
-					tc.Run(pollQuantum)
-					idle += pollQuantum
-				}
-				continue
-			}
-			ing, _, egr := snapCosts(pkt.req.Class)
-			if pkt.stage == 0 {
-				tc.Run(ing)
-				pkt.stage = 1
-				s.servers[pkt.server].Put(pkt)
-			} else {
-				tc.Run(egr)
-				s.complete(pkt.req, tc.Now())
-			}
-		}
-	}
+type snapWorker struct {
+	s     *Snap
+	phase int
+	idle  sim.Duration // polling time since the ring was last non-empty
+	pkt   *snapPkt
 }
 
-// serverLoop is an application server thread (CFS-scheduled).
-func (s *Snap) serverLoop(mb *kernel.Mailbox[*snapPkt]) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		for {
-			pkt := mb.Get(tc)
-			_, app, _ := snapCosts(pkt.req.Class)
-			tc.Run(app)
-			pkt.stage = 2
-			s.post(pkt)
-		}
+func (w *snapWorker) resume(tc *kernel.TaskContext) kernel.Op {
+	s := w.s
+	switch w.phase {
+	case snapIngress:
+		w.pkt.stage = 1
+		s.servers[w.pkt.server].put(w.pkt)
+	case snapEgress:
+		s.complete(w.pkt.req, tc.Now())
+	case snapPolling:
+		w.idle += pollQuantum
 	}
+	if s.pkts.Len() == 0 {
+		if w.phase != snapPolling {
+			w.idle = 0 // a new polling period
+		}
+		if w.idle >= pollGrace {
+			s.sleepers.push(tc.Thread())
+			w.phase = snapAsleep
+			return tc.Block()
+		}
+		w.phase = snapPolling
+		return tc.Run(pollQuantum)
+	}
+	w.pkt = s.pkts.pop()
+	ing, _, egr := snapCosts(w.pkt.req.Class)
+	if w.pkt.stage == 0 {
+		w.phase = snapIngress
+		return tc.Run(ing)
+	}
+	w.phase = snapEgress
+	return tc.Run(egr)
+}
+
+// appCost and appDone are an application server's per-packet work
+// (servers are CFS-scheduled): process the message, then hand it back
+// to Snap for egress.
+func (s *Snap) appCost(pkt *snapPkt) sim.Duration {
+	_, app, _ := snapCosts(pkt.req.Class)
+	return app
+}
+
+func (s *Snap) appDone(pkt *snapPkt) {
+	pkt.stage = 2
+	s.post(pkt)
 }
 
 func (s *Snap) complete(req *Request, now sim.Time) {

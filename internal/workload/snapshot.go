@@ -12,11 +12,10 @@ import (
 
 // Snapshot support (DESIGN.md §3j): the worker pool and the Poisson
 // source are snap.Components, and their thread bodies (pool workers,
-// spinners) are registered resumable bodies. A worker parked inside
-// tc.Run resumes by re-running a placeholder segment — the overlay
-// restores the true remaining work — and then completing the request it
-// still finds in the pool's inbox; a worker parked in tc.Block resumes
-// by re-entering the loop at the Block.
+// spinners) are registered resumable bodies. A pool worker's resume
+// state is its request slot plus where it is parked: a worker parked in
+// Run is serving the request the pool saved for it (step 1), a worker
+// parked in Block is idle (step 0). Spinners are stateless.
 
 // requestRec is a Request without its Done callback, which cannot ride
 // in a byte stream; HadDone tells restore to re-attach one via the
@@ -41,7 +40,7 @@ func saveRequest(r *Request) requestRec {
 	}
 }
 
-func (p *WorkerPool) loadRequest(rec requestRec) *Request {
+func (p *WorkerPool) loadRequest(rec requestRec) (*Request, error) {
 	r := &Request{
 		ID:        rec.ID,
 		Arrival:   sim.Time(rec.Arrival),
@@ -50,9 +49,12 @@ func (p *WorkerPool) loadRequest(rec requestRec) *Request {
 		Class:     rec.Class,
 	}
 	if rec.HadDone {
+		if p.DoneRebinder == nil {
+			return nil, fmt.Errorf("worker pool %q: snapshot has requests with Done callbacks but the restored pool has no DoneRebinder", p.snapKey)
+		}
 		p.DoneRebinder(r)
 	}
-	return r
+	return r, nil
 }
 
 type inboxRec struct {
@@ -82,11 +84,11 @@ func (p *WorkerPool) SnapshotKind() string { return "workload.pool" }
 func (p *WorkerPool) BindSnapshotKey(key string) {
 	p.snapKey = key
 	for _, w := range p.workers {
-		if d := w.BodyDesc(); d != nil {
+		if d := w.t.BodyDesc(); d != nil {
 			d.Key = key
 			continue
 		}
-		w.SetBodyDesc(&kernel.BodyDesc{Kind: "workload.pool-worker", Key: key})
+		w.t.SetBodyDesc(&kernel.BodyDesc{Kind: "workload.pool-worker", Key: key})
 	}
 }
 
@@ -106,20 +108,20 @@ func (p *WorkerPool) SnapshotSave() ([]byte, error) {
 		Completed:   p.rec.Completed,
 		WarmupUntil: int64(p.rec.WarmupUntil),
 	}}
-	for _, w := range p.free {
-		st.Free = append(st.Free, int(w.TID()))
+	for i := 0; i < p.free.Len(); i++ {
+		st.Free = append(st.Free, int(p.free.at(i).t.TID()))
 	}
 	for _, w := range p.workers {
-		r := p.inbox[w.TID()]
-		if r == nil {
+		if w.req == nil {
 			continue
 		}
-		if err := checkDone(r); err != nil {
+		if err := checkDone(w.req); err != nil {
 			return nil, err
 		}
-		st.Inbox = append(st.Inbox, inboxRec{TID: int(w.TID()), Req: saveRequest(r)})
+		st.Inbox = append(st.Inbox, inboxRec{TID: int(w.t.TID()), Req: saveRequest(w.req)})
 	}
-	for _, r := range p.backlog {
+	for i := 0; i < p.backlog.Len(); i++ {
+		r := p.backlog.at(i)
 		if err := checkDone(r); err != nil {
 			return nil, err
 		}
@@ -139,45 +141,38 @@ func (p *WorkerPool) SnapshotLoad(data []byte) error {
 }
 
 func (p *WorkerPool) applyState(st *poolState) error {
-	hasDone := func(recs []requestRec) bool {
-		for _, r := range recs {
-			if r.HadDone {
-				return true
-			}
-		}
-		return false
-	}
-	if p.DoneRebinder == nil {
-		all := append(append([]requestRec(nil), st.Backlog...), func() []requestRec {
-			out := make([]requestRec, len(st.Inbox))
-			for i, ir := range st.Inbox {
-				out[i] = ir.Req
-			}
-			return out
-		}()...)
-		if hasDone(all) {
-			return fmt.Errorf("worker pool %q: snapshot has requests with Done callbacks but the restored pool has no DoneRebinder", p.snapKey)
-		}
-	}
 	p.stopping = false
-	p.free = p.free[:0]
+	byTID := make(map[kernel.TID]*poolWorker, len(p.workers))
+	for _, w := range p.workers {
+		byTID[w.t.TID()] = w
+		w.req = nil
+	}
+	p.free = fifo[*poolWorker]{}
 	for _, tid := range st.Free {
-		t := p.k.Thread(kernel.TID(tid))
-		if t == nil {
+		w := byTID[kernel.TID(tid)]
+		if w == nil {
 			return fmt.Errorf("worker pool %q: free worker T%d missing", p.snapKey, tid)
 		}
-		p.free = append(p.free, t)
+		p.free.push(w)
 	}
-	p.inbox = make(map[kernel.TID]*Request, len(st.Inbox))
 	for _, ir := range st.Inbox {
-		if p.k.Thread(kernel.TID(ir.TID)) == nil {
+		w := byTID[kernel.TID(ir.TID)]
+		if w == nil {
 			return fmt.Errorf("worker pool %q: busy worker T%d missing", p.snapKey, ir.TID)
 		}
-		p.inbox[kernel.TID(ir.TID)] = p.loadRequest(ir.Req)
+		r, err := p.loadRequest(ir.Req)
+		if err != nil {
+			return err
+		}
+		w.req = r
 	}
-	p.backlog = p.backlog[:0]
+	p.backlog = fifo[*Request]{}
 	for _, rr := range st.Backlog {
-		p.backlog = append(p.backlog, p.loadRequest(rr))
+		r, err := p.loadRequest(rr)
+		if err != nil {
+			return err
+		}
+		p.backlog.push(r)
 	}
 	p.rec.Hist.SetState(st.Recorder.Hist)
 	p.rec.Completed = st.Recorder.Completed
@@ -193,34 +188,23 @@ func NewPoolShell(k *kernel.Kernel, rec *LatencyRecorder) *WorkerPool {
 	if rec == nil {
 		rec = &LatencyRecorder{}
 	}
-	return &WorkerPool{k: k, rec: rec, inbox: make(map[kernel.TID]*Request)}
+	return &WorkerPool{k: k, rec: rec, serve: runService}
 }
 
 // Recorder returns the pool's latency recorder.
 func (p *WorkerPool) Recorder() *LatencyRecorder { return p.rec }
 
-// adoptWorker registers a resumed worker thread with the pool shell; it
-// runs synchronously inside the spawn pass (the body's code before its
-// first kernel call executes during Spawn), so workers append in TID
-// order — the original spawn order.
-func (p *WorkerPool) adoptWorker(t *kernel.Thread) {
-	p.workers = append(p.workers, t)
-}
-
-// resumeWorkerBody rebuilds a pool worker's body. Parked in Run: the
-// worker was serving the request the restored inbox holds for it, so it
-// re-runs a placeholder segment (the overlay sets the true remaining
-// work) and completes that request. Parked in Block: it re-enters the
-// loop at the Block.
-func (p *WorkerPool) resumeWorkerBody(inRun bool) kernel.ThreadFunc {
-	return func(tc *kernel.TaskContext) {
-		p.adoptWorker(tc.Thread())
-		if inRun {
-			tc.Run(1)
-			p.finishRequest(tc)
-		}
-		p.workerLoop(tc)
+// adoptWorker rebuilds a pool worker for the restore spawn pass, which
+// runs in TID order, so workers append in their original spawn order. A
+// worker parked in Run is serving the request in its slot: its next
+// resume completes it.
+func (p *WorkerPool) adoptWorker(t *kernel.Thread, inRun bool) *poolWorker {
+	w := &poolWorker{p: p, t: t}
+	if inRun {
+		w.step = 1
 	}
+	p.workers = append(p.workers, w)
+	return w
 }
 
 // --- Poisson source ----------------------------------------------------
@@ -357,22 +341,12 @@ func init() {
 		if !ok {
 			return nil, fmt.Errorf("pool worker references component %q which is not a WorkerPool", rec.Key)
 		}
-		return p.resumeWorkerBody(resume.InRun), nil
+		return p.adoptWorker(resume.Thread, resume.InRun).resume, nil
 	})
 	snap.RegisterBody("workload.spinner", func(ctx *snap.RestoreCtx, rec kernel.BodyRec, _ *sim.Rand, resume snap.Resume) (kernel.ThreadFunc, error) {
 		if len(rec.Args) != 1 {
 			return nil, fmt.Errorf("workload.spinner wants 1 arg, got %d", len(rec.Args))
 		}
-		chunk := sim.Duration(rec.Args[0])
-		body := Spinner(chunk)
-		if resume.Resuming && resume.InRun {
-			// The spinner only ever parks inside Run; re-enter with a
-			// placeholder segment whose remaining work the overlay fixes.
-			return func(tc *kernel.TaskContext) {
-				tc.Run(1)
-				body(tc)
-			}, nil
-		}
-		return body, nil
+		return Spinner(sim.Duration(rec.Args[0])), nil
 	})
 }

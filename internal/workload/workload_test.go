@@ -10,7 +10,7 @@ import (
 	"ghost/internal/sim"
 )
 
-func testKernel(t *testing.T, cpus int) (*sim.Engine, *kernel.Kernel, *kernel.CFS) {
+func testKernel(t testing.TB, cpus int) (*sim.Engine, *kernel.Kernel, *kernel.CFS) {
 	t.Helper()
 	topo := hw.NewTopology(hw.Config{Name: "w", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: cpus / 2, SMTWidth: 2})
 	eng := sim.NewEngine()
@@ -242,5 +242,57 @@ func TestSpinnerShare(t *testing.T) {
 	eng.RunFor(10 * sim.Millisecond)
 	if share := float64(th.CPUTime()) / (10e6); share < 0.95 {
 		t.Fatalf("lone spinner share = %.2f", share)
+	}
+}
+
+// BenchmarkWorkerPoolRequest measures the thread-handoff seam: one
+// request cycle through a pool worker (Submit → Wake → Run → finish →
+// Block) on a 2-CPU CFS machine, including the engine events the cycle
+// schedules.
+func BenchmarkWorkerPoolRequest(b *testing.B) {
+	eng, k, cfs := testKernel(b, 2)
+	rec := &LatencyRecorder{}
+	p := NewWorkerPool(k, 1, rec, func(name string, body kernel.ThreadFunc) *kernel.Thread {
+		return k.Spawn(kernel.SpawnOpts{Name: name, Class: cfs}, body)
+	})
+	r := &Request{Service: sim.Microsecond}
+	eng.RunFor(sim.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Arrival = eng.Now()
+		p.Submit(r)
+		eng.RunFor(20 * sim.Microsecond)
+	}
+	b.StopTimer()
+	if rec.Completed != uint64(b.N) {
+		b.Fatalf("completed %d of %d requests", rec.Completed, b.N)
+	}
+}
+
+// TestFifoOrder checks the ring-buffer FIFO against a slice model over
+// random pushes and pops, so it grows while wrapped around.
+func TestFifoOrder(t *testing.T) {
+	r := sim.NewRand(5)
+	var q fifo[int]
+	var model []int
+	for i := 0; i < 10000; i++ {
+		if len(model) == 0 || r.Intn(3) > 0 {
+			q.push(i)
+			model = append(model, i)
+		} else {
+			if got := q.pop(); got != model[0] {
+				t.Fatalf("step %d: pop = %d, want %d", i, got, model[0])
+			}
+			model = model[1:]
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, want %d", i, q.Len(), len(model))
+		}
+	}
+	for i, want := range model {
+		if got := q.at(i); got != want {
+			t.Fatalf("at(%d) = %d, want %d", i, got, want)
+		}
 	}
 }

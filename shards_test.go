@@ -28,13 +28,13 @@ func shardedRun(t *testing.T, shards int) (string, ghost.ShardStats) {
 			Name:     fmt.Sprintf("w%d", i),
 			Class:    ghost.Ghost(enc),
 			Affinity: ghost.MaskOf(24, 25, 26, 27),
-		}, func(tc *ghost.Task) {
+		}, ghost.Sequential(func(tc *ghost.SeqTask) {
 			for j := 0; j < 4; j++ {
 				tc.Run(20 * ghost.Microsecond)
 				tc.Yield()
 			}
 			total += tc.Now()
-		})
+		}))
 	}
 	m.Run(10 * ghost.Millisecond)
 
@@ -96,9 +96,9 @@ func TestClusterRunIdentical(t *testing.T) {
 			enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3))
 			set := m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
 			for w := 0; w < 4+i; w++ {
-				m.Spawn(ghost.ThreadOpts{Name: "w", Class: ghost.Ghost(enc)}, func(tc *ghost.Task) {
+				m.Spawn(ghost.ThreadOpts{Name: "w", Class: ghost.Ghost(enc)}, ghost.Sequential(func(tc *ghost.SeqTask) {
 					tc.Run(ghost.Duration(10+i) * ghost.Microsecond)
-				})
+				}))
 			}
 			ms = append(ms, mrec{m, set})
 		}

@@ -17,9 +17,11 @@ import (
 // self-contained capture of a machine at a quiescent barrier; Restore
 // rebuilds a machine whose forward behavior is byte-identical —
 // digest(run 0→T) == digest(restore(snap@t), run t→T) at any shard
-// count. Snapshots serialize no goroutine stacks: thread bodies must be
-// registered (RegisterBody / SpawnBody, or library-provided bodies like
-// worker pools), and workload state rides via SnapshotComponent.
+// count. Thread bodies are resumable functions whose continuation is
+// their own state, so a snapshot records each body as a registered kind
+// (RegisterBody / SpawnBody, or library-provided bodies like worker
+// pools) plus where it is parked, and workload state rides via
+// SnapshotComponent.
 
 // SnapshotVersion is the snapshot wire-format version this build speaks.
 const SnapshotVersion = snap.Version
@@ -242,8 +244,8 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 }
 
 // BodyResume tells a registered body factory whether it is rebuilding a
-// thread from a snapshot, and if so where that thread was parked: inside
-// Run (InRun; the remaining work is restored by the overlay) or inside
+// thread from a snapshot, and if so where that thread was parked: in a
+// Run (InRun; the remaining work is restored by the overlay) or in a
 // Block (a pending wake is restored independently).
 type BodyResume struct {
 	Resuming bool
@@ -261,8 +263,10 @@ var facadeBodies = map[string]BodyFactory{}
 // RegisterBody registers a resumable thread-body factory under kind.
 // Threads spawned via Machine.SpawnBody with this kind survive
 // snapshot/restore: the factory is re-invoked at restore with
-// resume.Resuming set, and must re-issue the parked call first (Run when
-// resume.InRun, Block otherwise) before continuing its loop.
+// resume.Resuming set and must return the body in its resume state. The
+// thread is re-spawned parked, so the body is not called until its
+// parked action completes: after the Run when resume.InRun, on the Wake
+// otherwise.
 func RegisterBody(kind string, f BodyFactory) {
 	facadeBodies[kind] = f
 	snap.RegisterBody(kind, func(ctx *snap.RestoreCtx, rec kernel.BodyRec, r *sim.Rand, resume snap.Resume) (kernel.ThreadFunc, error) {

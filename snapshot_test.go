@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"ghost"
@@ -258,4 +259,31 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		rm.Shutdown()
 	}
 	b.ReportMetric(float64(buf.Len()), "snap-bytes")
+}
+
+// TestSnapshotImageCompatible pins the snapshot format across the move
+// to resumable thread bodies: testdata/serving-v1.ghostsnp is
+// buildServing(1) at 2ms, written by the goroutine-per-thread
+// simulator, with one pool worker parked in Run, two in Block and the
+// spinner in Run. It must still decode, restore each body in its resume
+// state, and reach the digest that simulator recorded at 4ms.
+func TestSnapshotImageCompatible(t *testing.T) {
+	const want = "e6105b74b3011fe4bd5cc68a3cae19276cc92ac4ef2e5d63e2940a8e2be2ed56"
+	data, err := os.ReadFile("testdata/serving-v1.ghostsnp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ghost.ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	m, err := ghost.Restore(s, servingRestoreOpts()...)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	defer m.Shutdown()
+	m.RunUntil(4 * ghost.Millisecond)
+	if got := digestAt(t, m); got != want {
+		t.Fatalf("restored v1 image diverged: digest %s, want %s", got, want)
+	}
 }
