@@ -63,6 +63,7 @@ func TestTable2Counts(t *testing.T) {
 
 func TestTable3Shapes(t *testing.T) {
 	rep := runTable3(quick)
+	checkReportGolden(t, rep)
 	get := func(row int) float64 { return cell(t, rep, row, 3) }
 	localDelivery := get(0)
 	globalDelivery := get(1)
@@ -92,6 +93,7 @@ func TestTable3Shapes(t *testing.T) {
 
 func TestFig5Shape(t *testing.T) {
 	rep := runFig5(quick)
+	checkReportGolden(t, rep)
 	sk := rep.Series[0]
 	if sk.Len() < 4 {
 		t.Fatalf("too few points: %d", sk.Len())
@@ -111,6 +113,7 @@ func TestFig6Shape(t *testing.T) {
 		t.Skip("long experiment")
 	}
 	rep := runFig6(quick, false)
+	checkReportGolden(t, rep)
 	// Rows: 3 loads x 3 systems, in system-major order.
 	loads := len(fig6Loads(true))
 	p99 := func(sysIdx, loadIdx int) float64 { return cell(t, rep, sysIdx*loads+loadIdx, 3) }
@@ -136,6 +139,7 @@ func TestFig6cShape(t *testing.T) {
 		t.Skip("long experiment")
 	}
 	rep := runFig6c(quick)
+	checkReportGolden(t, rep)
 	loads := len(fig6Loads(true))
 	share := func(sysIdx, loadIdx int) float64 { return cell(t, rep, sysIdx*loads+loadIdx, 2) }
 	// Shinjuku: zero share at every load (dedicated cores).
@@ -158,6 +162,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Skip("long experiment")
 	}
 	rep := runFig7(quick, false)
+	checkReportGolden(t, rep)
 	// Rows: mq-64B, mq-64kB, ghost-64B, ghost-64kB; cols p50..p99.99.
 	p := func(row, col int) float64 { return cell(t, rep, row, col) }
 	// Medians within a sane band and similar between schedulers.
@@ -186,6 +191,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Skip("long experiment")
 	}
 	rep := runFig8(quick)
+	checkReportGolden(t, rep)
 	// Rows: per query type: QPS then p99. Col 4 is the ghOSt/CFS ratio.
 	qpsA, p99A := cell(t, rep, 0, 4), cell(t, rep, 1, 4)
 	qpsB, p99B := cell(t, rep, 2, 4), cell(t, rep, 3, 4)
@@ -211,6 +217,7 @@ func TestTable4Shape(t *testing.T) {
 		t.Skip("long experiment")
 	}
 	rep := runTable4(quick)
+	checkReportGolden(t, rep)
 	viol := func(row int) float64 { return cell(t, rep, row, 3) }
 	rate := func(row int) float64 { return cell(t, rep, row, 1) }
 	if viol(0) == 0 {
@@ -230,6 +237,7 @@ func TestTable4Shape(t *testing.T) {
 
 func TestGroupCommitShape(t *testing.T) {
 	rep := runGroupCommit(quick)
+	checkReportGolden(t, rep)
 	// Per-txn cost decreases with group size.
 	first := cell(t, rep, 0, 2)
 	last := cell(t, rep, len(rep.Rows)-1, 2)
@@ -247,6 +255,7 @@ func TestBPFFastpathShape(t *testing.T) {
 		t.Skip("long experiment")
 	}
 	rep := runBPFFastpath(quick)
+	checkReportGolden(t, rep)
 	off, on := cell(t, rep, 0, 4), cell(t, rep, 1, 4)
 	if off != 0 {
 		t.Fatalf("BPF commits without BPF = %v", off)
@@ -265,17 +274,20 @@ func TestFig8AblationRuns(t *testing.T) {
 		t.Skip("long experiment")
 	}
 	rep := runFig8Ablation(quick)
+	checkReportGolden(t, rep)
 	if len(rep.Rows) != 4 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
 }
 
 func TestDeterministicReports(t *testing.T) {
-	a := runFig5(quick).String()
+	rep := runFig5(quick)
+	a := rep.String()
 	b := runFig5(quick).String()
 	if a != b {
 		t.Fatal("fig5 not deterministic across runs")
 	}
+	checkReportGolden(t, rep)
 }
 
 func TestRunJobsOrdering(t *testing.T) {
