@@ -7,6 +7,7 @@
 package agentsdk
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -179,7 +180,7 @@ type AgentSet struct {
 	TxnsFailed    uint64
 }
 
-// runner is one agent thread (a kernel Stepper).
+// runner is one agent thread; run is its body.
 type runner struct {
 	set    *AgentSet
 	cpu    hw.CPUID
@@ -423,11 +424,11 @@ func newSet(k *kernel.Kernel, enc *ghostcore.Enclave, ac *kernel.AgentClass) *Ag
 	set.ctx = &Context{set: set, Enclave: enc, Kernel: k}
 	enc.CPUs().ForEach(func(cpu hw.CPUID) bool {
 		r := &runner{set: set, cpu: cpu}
-		r.thread = k.SpawnStepper(kernel.SpawnOpts{
+		r.thread = k.Spawn(kernel.SpawnOpts{
 			Name:     "ghost-agent",
 			Class:    ac,
 			Affinity: kernel.MaskOf(cpu),
-		}, r)
+		}, r.run)
 		r.agent = enc.AttachAgent(cpu, r.thread)
 		set.runners[cpu] = r
 		return true
@@ -522,34 +523,54 @@ func (set *AgentSet) onPressure(c *kernel.CPU) {
 	set.k.Poke(old.thread)
 }
 
-// Step implements kernel.Stepper: dispatch to the mode-specific loop,
-// applying any injected stall/slow fault first.
-func (r *runner) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
+// run is the agent thread's body. Agents start parked, and Start wakes
+// the one that begins spinning. Every later call is one scheduling step,
+// made on the agent's CPU: dispatch to the mode-specific loop, applying
+// any injected stall/slow fault first.
+func (r *runner) run(tc *kernel.TaskContext) kernel.Op {
+	if tc.Thread().State() == kernel.StateNew {
+		return kernel.Park()
+	}
 	set := r.set
+	now := tc.Now()
 	if set.stopped || set.enc.Destroyed() {
-		return 0, kernel.DispExit
+		return tc.Exit()
 	}
 	if now < r.stallUntil {
 		// Injected stall (§3.4 robustness: a GC-paused or buggy agent):
 		// burn the CPU making no decisions until the stall ends.
-		return r.stallUntil - now, kernel.DispSpin
+		return tc.Run(r.stallUntil - now).Then(kernel.Spin())
 	}
 	set.StepsExecuted++
-	var cost sim.Duration
-	var disp kernel.Disposition
 	if set.globalCPU != hw.NoCPU {
 		if r.cpu != set.globalCPU {
 			// Inactive agent: vacate the CPU immediately (§3.3).
-			return 0, kernel.DispBlock
+			return kernel.Park()
 		}
-		cost, disp = r.globalStep(now)
-	} else {
-		cost, disp = r.localStep(now)
+		return r.globalStep(tc, now)
 	}
+	return r.localStep(tc, now)
+}
+
+// slowed stretches a step's cost by an injected slow fault.
+func (r *runner) slowed(now sim.Time, cost sim.Duration) sim.Duration {
 	if now < r.slowUntil && r.slowFactor > 1 && cost > 0 {
-		cost = sim.Duration(float64(cost) * r.slowFactor)
+		return sim.Duration(float64(cost) * r.slowFactor)
 	}
-	return cost, disp
+	return cost
+}
+
+// errZeroCostRetry guards retry: at zero cost the agent would step again
+// at the same instant forever.
+var errZeroCostRetry = errors.New("agentsdk: zero-cost retry would livelock")
+
+// retry charges a step's cost and then steps again: a Run with no
+// follow-up.
+func retry(tc *kernel.TaskContext, cost sim.Duration) kernel.Op {
+	if cost == 0 {
+		panic(errZeroCostRetry)
+	}
+	return tc.Run(cost)
 }
 
 // drain consumes a queue, charging per-message cost and recording
@@ -572,7 +593,7 @@ func (r *runner) drain(q *ghostcore.Queue, now sim.Time) ([]ghostcore.Message, s
 }
 
 // globalStep is the centralized scheduling loop (Fig 4).
-func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Disposition) {
+func (r *runner) globalStep(tc *kernel.TaskContext, now sim.Time) kernel.Op {
 	set := r.set
 	cm := set.k.Cost()
 	cost := cm.AgentLoopOverhead
@@ -629,7 +650,7 @@ func (r *runner) globalStep(now sim.Time) (sim.Duration, kernel.Disposition) {
 	if tr := set.k.Tracer(); tr != nil {
 		tr.AgentStep(now, set.enc.ID(), r.cpu, cost, len(msgs), committed, "global")
 	}
-	return cost, kernel.DispSpin
+	return tc.Run(r.slowed(now, cost)).Then(kernel.Spin())
 }
 
 // reportTxns tallies commit outcomes and routes failures to the policy.
@@ -648,7 +669,7 @@ func (set *AgentSet) reportTxns(txns []*ghostcore.Txn, asgs []Assignment) {
 func (c *Context) PreemptCPU(cpu hw.CPUID) { c.Enclave.PreemptCPU(cpu) }
 
 // localStep is the per-CPU scheduling loop (Fig 3).
-func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Disposition) {
+func (r *runner) localStep(tc *kernel.TaskContext, now sim.Time) kernel.Op {
 	set := r.set
 	cm := set.k.Cost()
 	cost := cm.AgentLoopOverhead
@@ -707,13 +728,13 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Disposition) {
 		// A previous commit has not switched in yet (the agent was
 		// re-woken before yielding); let it take effect.
 		span(0)
-		return cost, kernel.DispBlock
+		return tc.Run(r.slowed(now, cost)).Then(kernel.Park())
 	}
 
 	next := set.percpu.PickNext(set.ctx, r.cpu)
 	if next == nil {
 		span(0)
-		return cost, kernel.DispBlock
+		return tc.Run(r.slowed(now, cost)).Then(kernel.Park())
 	}
 	txn := set.enc.TxnCreate(next.TID(), r.cpu)
 	txn.AgentSeq = aseq
@@ -726,15 +747,15 @@ func (r *runner) localStep(now sim.Time) (sim.Duration, kernel.Disposition) {
 	case ghostcore.TxnCommitted:
 		set.TxnsCommitted++
 		// Yield the CPU to the committed thread.
-		return cost, kernel.DispBlock
+		return tc.Run(r.slowed(now, cost)).Then(kernel.Park())
 	case ghostcore.TxnESTALE:
 		set.TxnsFailed++
 		// Newer messages arrived: drain and retry (§3.2).
-		return cost, kernel.DispAgain
+		return retry(tc, r.slowed(now, cost))
 	default:
 		set.TxnsFailed++
 		set.percpu.OnTxnFail(set.ctx, r.cpu, next, txn.Status)
-		return cost, kernel.DispAgain
+		return retry(tc, r.slowed(now, cost))
 	}
 }
 

@@ -4,6 +4,7 @@
 package baselines
 
 import (
+	"errors"
 	"fmt"
 
 	"ghost/internal/hw"
@@ -60,18 +61,22 @@ func NewShinjukuDataplane(k *kernel.Kernel, dc *kernel.AgentClass,
 		DispatchCost: 300,
 	}
 	// Dispatcher: pure spinner occupying its core (its work is folded
-	// into DispatchCost on the worker side).
-	dp.dispatcher = k.SpawnStepper(kernel.SpawnOpts{
+	// into DispatchCost on the worker side). Like the workers it starts
+	// parked and spins from its first run on its CPU.
+	dp.dispatcher = k.Spawn(kernel.SpawnOpts{
 		Name: "shinjuku-dispatcher", Class: dc, Affinity: kernel.MaskOf(dispatcherCPU),
-	}, stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-		return 0, kernel.DispSpin
-	}))
+	}, func(tc *kernel.TaskContext) kernel.Op {
+		if tc.Thread().State() == kernel.StateNew {
+			return kernel.Park()
+		}
+		return kernel.Spin()
+	})
 	k.Wake(dp.dispatcher)
 	for _, cpu := range workerCPUs {
 		w := &spinWorker{dp: dp, cpu: cpu}
-		w.thread = k.SpawnStepper(kernel.SpawnOpts{
+		w.thread = k.Spawn(kernel.SpawnOpts{
 			Name: fmt.Sprintf("shinjuku-worker-%d", cpu), Class: dc, Affinity: kernel.MaskOf(cpu),
-		}, w)
+		}, w.Step)
 		dp.workers = append(dp.workers, w)
 		k.Wake(w.thread)
 	}
@@ -97,20 +102,24 @@ func (dp *ShinjukuDataplane) kickIdle(except *spinWorker) {
 	}
 }
 
-// Step implements kernel.Stepper for a worker: run the current request
-// for up to a slice; preempt long requests back to the FIFO.
-func (w *spinWorker) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
+// Step is a worker's thread body. It starts parked; every later call is
+// one step on the worker's CPU: run the current request for up to a
+// slice, preempting long requests back to the FIFO.
+func (w *spinWorker) Step(tc *kernel.TaskContext) kernel.Op {
+	if tc.Thread().State() == kernel.StateNew {
+		return kernel.Park()
+	}
 	dp := w.dp
 	w.idle = false
 	if w.cur == nil {
 		if len(dp.fifo) == 0 {
 			w.idle = true
-			return 0, kernel.DispSpin // spin-wait on the request queue
+			return kernel.Spin() // spin-wait on the request queue
 		}
 		w.cur = dp.fifo[0]
 		dp.fifo = dp.fifo[1:]
 		dp.kickIdle(w) // more queued work: wake another idle worker
-		return dp.DispatchCost, kernel.DispAgain
+		return again(tc, dp.DispatchCost)
 	}
 	r := w.cur
 	chunk := r.Remaining
@@ -122,7 +131,7 @@ func (w *spinWorker) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
 		// Preemption: requeue at the back of the FIFO (§4.2).
 		w.cur = nil
 		dp.fifo = append(dp.fifo, r)
-		return chunk + dp.PreemptCost, kernel.DispAgain
+		return again(tc, chunk+dp.PreemptCost)
 	}
 	w.cur = nil
 	done := r
@@ -134,13 +143,20 @@ func (w *spinWorker) Step(now sim.Time) (sim.Duration, kernel.Disposition) {
 			done.Done(done, dp.k.Now())
 		}
 	})
-	return chunk, kernel.DispAgain
+	return again(tc, chunk)
+}
+
+// errZeroCostStep guards again: at zero cost a worker would step again at
+// the same instant forever.
+var errZeroCostStep = errors.New("baselines: zero-cost worker step would livelock")
+
+// again charges cost and then steps again: a Run with no follow-up.
+func again(tc *kernel.TaskContext, cost sim.Duration) kernel.Op {
+	if cost == 0 {
+		panic(errZeroCostStep)
+	}
+	return tc.Run(cost)
 }
 
 // QueueLen returns the FIFO depth (for tests).
 func (dp *ShinjukuDataplane) QueueLen() int { return len(dp.fifo) }
-
-// stepFunc adapts a function to kernel.Stepper.
-type stepFunc func(now sim.Time) (sim.Duration, kernel.Disposition)
-
-func (f stepFunc) Step(now sim.Time) (sim.Duration, kernel.Disposition) { return f(now) }

@@ -428,10 +428,8 @@ func TestNewEnclaveAfterDestroy(t *testing.T) {
 
 func TestAgentDetachTriggersFallback(t *testing.T) {
 	env := newGhostEnv(t)
-	agThread := env.k.SpawnStepper(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
-		stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-			return 100, kernel.DispBlock
-		}))
+	agThread := env.k.Spawn(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
+		parkingAgent(100, nil))
 	a := env.enc.AttachAgent(0, agThread)
 	th := env.spawnGhost("w", 100*sim.Microsecond, 1)
 	env.eng.RunFor(sim.Millisecond)
@@ -448,10 +446,8 @@ func TestAgentDetachTriggersFallback(t *testing.T) {
 func TestUpgradeKeepsEnclave(t *testing.T) {
 	env := newGhostEnv(t)
 	mk := func() *kernel.Thread {
-		return env.k.SpawnStepper(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
-			stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-				return 100, kernel.DispBlock
-			}))
+		return env.k.Spawn(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
+			parkingAgent(100, nil))
 	}
 	a1 := env.enc.AttachAgent(0, mk())
 	th := env.spawnGhost("w", 100*sim.Microsecond, 1)
@@ -484,9 +480,19 @@ func TestUpgradeKeepsEnclave(t *testing.T) {
 	}
 }
 
-type stepFunc func(now sim.Time) (sim.Duration, kernel.Disposition)
-
-func (f stepFunc) Step(now sim.Time) (sim.Duration, kernel.Disposition) { return f(now) }
+// parkingAgent is an agent body that starts parked and, each time it is
+// back on its CPU, calls onStep (if set), charges cost and parks again.
+func parkingAgent(cost sim.Duration, onStep func()) kernel.ThreadFunc {
+	return func(tc *kernel.TaskContext) kernel.Op {
+		if tc.Thread().State() == kernel.StateNew {
+			return kernel.Park()
+		}
+		if onStep != nil {
+			onStep()
+		}
+		return tc.Run(cost).Then(kernel.Park())
+	}
+}
 
 type bpfFunc func(cpu hw.CPUID) *kernel.Thread
 
@@ -515,10 +521,8 @@ func TestBPFFastpath(t *testing.T) {
 
 func TestAgentSeqAndESTALE(t *testing.T) {
 	env := newGhostEnv(t)
-	agThread := env.k.SpawnStepper(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
-		stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-			return 100, kernel.DispBlock
-		}))
+	agThread := env.k.Spawn(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
+		parkingAgent(100, nil))
 	a := env.enc.AttachAgent(0, agThread)
 	q := env.enc.CreateQueue("agentq")
 	env.enc.ConfigQueueWakeup(q, a, false)
@@ -553,11 +557,8 @@ func TestAgentSeqAndESTALE(t *testing.T) {
 func TestQueueWakeupWakesAgent(t *testing.T) {
 	env := newGhostEnv(t)
 	steps := 0
-	agThread := env.k.SpawnStepper(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
-		stepFunc(func(now sim.Time) (sim.Duration, kernel.Disposition) {
-			steps++
-			return 200, kernel.DispBlock
-		}))
+	agThread := env.k.Spawn(kernel.SpawnOpts{Name: "agent", Class: env.ac, Affinity: kernel.MaskOf(0)},
+		parkingAgent(200, func() { steps++ }))
 	a := env.enc.AttachAgent(0, agThread)
 	q := env.enc.CreateQueue("agentq")
 	env.enc.ConfigQueueWakeup(q, a, true)

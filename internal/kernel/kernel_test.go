@@ -402,15 +402,15 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestStepperSpinOccupiesCPU(t *testing.T) {
+func TestSpinOccupiesCPU(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	ac := NewAgentClass(env.k)
 	steps := 0
-	st := stepFunc(func(now sim.Time) (sim.Duration, Disposition) {
+	st := agentBody(func(now sim.Time) (sim.Duration, Op) {
 		steps++
-		return 100, DispSpin
+		return 100, Spin()
 	})
-	ag := env.k.SpawnStepper(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
+	ag := env.k.Spawn(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
 	env.k.Wake(ag)
 	env.eng.RunFor(sim.Millisecond)
 	if ag.State() != StateRunning {
@@ -431,20 +431,28 @@ func TestStepperSpinOccupiesCPU(t *testing.T) {
 	}
 }
 
-// stepFunc adapts a function to the Stepper interface.
-type stepFunc func(now sim.Time) (sim.Duration, Disposition)
+// agentBody builds a body shaped like an agent runner: it starts parked,
+// and each resume on its CPU runs step, charging the returned cost before
+// applying the returned follow-up.
+func agentBody(step func(now sim.Time) (sim.Duration, Op)) ThreadFunc {
+	return func(tc *TaskContext) Op {
+		if tc.Thread().State() == StateNew {
+			return Park()
+		}
+		cost, next := step(tc.Now())
+		return tc.Run(cost).Then(next)
+	}
+}
 
-func (f stepFunc) Step(now sim.Time) (sim.Duration, Disposition) { return f(now) }
-
-func TestStepperBlockWakeCycle(t *testing.T) {
+func TestParkWakeCycle(t *testing.T) {
 	env := newTestEnv(t, oneCPUTopo())
 	ac := NewAgentClass(env.k)
 	var stepTimes []sim.Time
-	st := stepFunc(func(now sim.Time) (sim.Duration, Disposition) {
+	st := agentBody(func(now sim.Time) (sim.Duration, Op) {
 		stepTimes = append(stepTimes, now)
-		return 500, DispBlock
+		return 500, Park()
 	})
-	ag := env.k.SpawnStepper(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
+	ag := env.k.Spawn(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
 	env.k.Wake(ag)
 	env.eng.RunFor(sim.Millisecond)
 	if len(stepTimes) != 1 {
@@ -485,11 +493,11 @@ func TestAgentPreemptsEverything(t *testing.T) {
 	eng.RunFor(2 * sim.Millisecond)
 
 	var ranAt sim.Time
-	st := stepFunc(func(now sim.Time) (sim.Duration, Disposition) {
+	st := agentBody(func(now sim.Time) (sim.Duration, Op) {
 		ranAt = now
-		return 100, DispBlock
+		return 100, Park()
 	})
-	ag := k.SpawnStepper(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
+	ag := k.Spawn(SpawnOpts{Name: "agent", Class: ac, Affinity: MaskOf(0)}, st)
 	wakeAt := eng.Now()
 	k.Wake(ag)
 	eng.RunFor(sim.Millisecond)

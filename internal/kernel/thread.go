@@ -40,48 +40,26 @@ func (s State) String() string {
 
 // ThreadFunc is a resumable simulated thread body. The kernel calls it
 // on the engine goroutine at each of the thread's resume points: at
-// Spawn, when a Run or Yield it returned has completed, and when a Wake
-// ends a Block it returned. Each call does the body's instantaneous work
-// (Go code takes no simulated time) and returns the thread's next Op. A
+// Spawn, when a Run or Yield it returned has completed, when a Wake
+// ends a Block it returned, and, for a Park or Spin, once the thread is
+// back on its CPU. Each call does the body's instantaneous work (Go
+// code takes no simulated time) and returns the thread's next Op. A
 // body keeps its own resume state; tc is the same on every call.
 type ThreadFunc func(tc *TaskContext) Op
 
 // Op is a thread body's next request to the kernel, returned from its
-// ThreadFunc and built by the TaskContext. The zero Op exits the thread,
-// like Exit.
+// ThreadFunc and built by the TaskContext, Spin or Park. The zero Op
+// exits the thread, like Exit.
 type Op struct {
 	kind actionKind
 	dur  sim.Duration
+	// then is a Run's follow-up (see Then), applied without calling the
+	// body once the run's work is done.
+	then actionKind
 }
 
-// Stepper is the callback-driven execution alternative used for scheduler
-// agents and dataplane pollers: when the thread is on CPU with no pending
-// work, the kernel invokes Step, which performs instantaneous actions,
-// returns the CPU time those actions cost, and a disposition for what the
-// thread does once that cost has been charged.
-type Stepper interface {
-	Step(now sim.Time) (cost sim.Duration, disp Disposition)
-}
-
-// Disposition tells the kernel what a Stepper thread does after its step
-// cost has been charged.
-type Disposition int
-
-const (
-	// DispSpin keeps the thread on CPU, busy-polling; Step is invoked
-	// again when the thread is poked.
-	DispSpin Disposition = iota
-	// DispBlock blocks the thread until Wake.
-	DispBlock
-	// DispYield puts the thread at the back of its class's queue.
-	DispYield
-	// DispAgain re-invokes Step as soon as the cost has elapsed.
-	DispAgain
-	// DispExit terminates the thread.
-	DispExit
-)
-
-// action is a request from a thread's execution to the kernel.
+// actionKind is what an Op asks of the kernel. The values are stored in
+// snapshots (ThreadRec.CurKind) and must not be renumbered.
 type actionKind int
 
 const (
@@ -90,16 +68,33 @@ const (
 	actBlock
 	actYield
 	actExit
-	actSpinIdle    // stepper: stay on CPU, wait for a poke
-	actStepPending // stepper: Step must run next time the thread is on CPU
+	actSpin
+	actPark
 )
 
-type action struct {
-	kind actionKind
-	dur  sim.Duration
-	// then, when set, is invoked in place of fetching the next action
-	// once the run completes. Used by stepper dispositions.
-	then func()
+// Spin keeps the thread on its CPU, busy-polling, with no completion
+// event; Kernel.Poke resumes the body. ghOSt agents and dataplane
+// pollers spin; the facade does not offer Spin, because a plain task has
+// no one to poke it.
+func Spin() Op { return Op{kind: actSpin} }
+
+// Park leaves the CPU like Block, but a Wake only makes the thread
+// runnable: the body resumes once the thread is back on a CPU. A Poke,
+// or a Wake, that arrived since the last body call resumes it at once.
+// An agent body whose first Op is Park starts blocked, waiting for the
+// Wake that activates it. Like Spin, Park is not on the facade.
+func Park() Op { return Op{kind: actPark} }
+
+// Then returns the Run o followed by next: when o's work is done the
+// kernel applies next without calling the body, so a step's cost can be
+// charged before the thread spins, parks or exits. next must not be a
+// Run; a Run(0) followed by next is next itself.
+func (o Op) Then(next Op) Op {
+	if o.dur == 0 {
+		return next
+	}
+	o.then = next.kind
+	return o
 }
 
 // Thread is a simulated kernel thread.
@@ -117,26 +112,18 @@ type Thread struct {
 	targetCPU hw.CPUID // placement chosen at wake; queue key for per-CPU classes
 	lastCPU   hw.CPUID // where the thread last ran, NoCPU if never
 
-	// Execution machinery: exactly one of body/stepper is set. tc is the
-	// body's context, one per thread for its whole life.
-	fn      ThreadFunc
-	tc      TaskContext
-	atExit  func()
-	stepper Stepper
+	// Execution machinery. tc is the body's context, one per thread for
+	// its whole life.
+	fn     ThreadFunc
+	tc     TaskContext
+	atExit func()
 
 	curKind     actionKind
 	pendingWork sim.Duration // remaining CPU work of the current action
-	onWorkDone  func()
-
-	// afterAction and afterFn are nextAction's reusable continuation: a
-	// thread has at most one pending post-run action, so one closure per
-	// thread (allocated lazily on first use) replaces one per run
-	// segment — the top allocation site in CPU-bound sweeps.
-	afterAction action
-	afterFn     func()
+	then        actionKind   // the current Run's follow-up, actNone if none
 
 	wakePending bool // Wake arrived while not blocked
-	poked       bool // poke arrived for a stepper thread
+	poked       bool // Poke arrived since the last body call
 
 	// Accounting.
 	cpuTime     sim.Duration // total on-CPU wall time
@@ -185,17 +172,6 @@ func (t *Thread) SetBodyDesc(d *BodyDesc) { t.body = d }
 
 // BodyDesc returns the thread's resumable-body descriptor, nil if none.
 func (t *Thread) BodyDesc() *BodyDesc { return t.body }
-
-// ensureAfterFn returns the thread's reusable post-run continuation,
-// creating it on first use. Restore-only: the hot path (nextAction)
-// creates the identical closure inline so the literal stays out of any
-// function reachable from the 0-alloc wake path.
-func (t *Thread) ensureAfterFn() func() {
-	if t.afterFn == nil {
-		t.afterFn = func() { t.k.applyAction(t, t.afterAction) }
-	}
-	return t.afterFn
-}
 
 // TID returns the thread id.
 func (t *Thread) TID() TID { return t.tid }
@@ -252,53 +228,20 @@ func (t *Thread) String() string {
 	return fmt.Sprintf("T%d(%s,%s)", t.tid, t.name, t.state)
 }
 
-// nextAction fetches the thread's next action: for body threads it
-// resumes the body (a Run(0) is no action, so the body resumes again at
-// once); for stepper threads it invokes Step and translates the
-// disposition. Engine-goroutine only.
-func (t *Thread) nextAction() action {
-	if t.stepper == nil {
-		for {
-			op := t.fn(&t.tc)
-			switch {
-			case op.kind == actNone:
-				return action{kind: actExit}
-			case op.kind != actRun || op.dur != 0:
-				return action{kind: op.kind, dur: op.dur}
-			}
+// nextAction resumes the body for the thread's next Op. A Run(0) is no
+// action, so the body resumes again at once; every call clears poked.
+// Engine-goroutine only.
+func (t *Thread) nextAction() Op {
+	for {
+		t.poked = false
+		op := t.fn(&t.tc)
+		switch {
+		case op.kind == actNone:
+			return Op{kind: actExit}
+		case op.kind != actRun || op.dur != 0:
+			return op
 		}
 	}
-	t.poked = false
-	cost, disp := t.stepper.Step(t.k.eng.Now())
-	if cost < 0 {
-		panic("kernel: stepper returned negative cost")
-	}
-	var after action
-	switch disp {
-	case DispSpin:
-		after = action{kind: actSpinIdle}
-	case DispBlock:
-		after = action{kind: actBlock}
-	case DispYield:
-		after = action{kind: actYield}
-	case DispAgain:
-		if cost == 0 {
-			panic("kernel: DispAgain with zero cost would livelock")
-		}
-		return action{kind: actRun, dur: cost}
-	case DispExit:
-		after = action{kind: actExit}
-	default:
-		panic("kernel: unknown disposition")
-	}
-	if cost == 0 {
-		return after
-	}
-	if t.afterFn == nil {
-		t.afterFn = func() { t.k.applyAction(t, t.afterAction) }
-	}
-	t.afterAction = after
-	return action{kind: actRun, dur: cost, then: t.afterFn}
 }
 
 // TaskContext is a thread body's handle on the kernel. The kernel hands

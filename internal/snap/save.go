@@ -90,6 +90,12 @@ func Save(t *Target) (*Image, error) {
 		}
 		core.Sets = append(core.Sets, rec)
 	}
+	runners := runnerTIDs(core.Sets)
+	for _, rec := range kimg.Threads {
+		if rec.Body == nil && !runners[rec.TID] {
+			return nil, fmt.Errorf("snap: thread T%d (%s) has no registered resumable body (see snap.RegisterBody)", rec.TID, rec.Name)
+		}
+	}
 	for _, ce := range t.Components {
 		data, err := ce.C.SnapshotSave()
 		if err != nil {
@@ -125,6 +131,19 @@ func Save(t *Target) (*Image, error) {
 		shard.EventDoms = append(shard.EventDoms, pe.Dom)
 	}
 	return NewImage(core, shard)
+}
+
+// runnerTIDs returns the TIDs of the agent runners in sets: the only
+// threads an image holds without a body descriptor, because each set
+// re-spawns its own at restore.
+func runnerTIDs(sets []*agentsdk.SetRec) map[int]bool {
+	tids := map[int]bool{}
+	for _, set := range sets {
+		for _, rr := range set.Runners {
+			tids[rr.TID] = true
+		}
+	}
+	return tids
 }
 
 // collectTickers walks every keyed virtual timer in the machine,
