@@ -13,7 +13,7 @@ import (
 
 // Snapshot/restore support (DESIGN.md §3j). An agent set serializes to a
 // SetRec; restore re-runs Start (the TID-pinned spawn pass recreates the
-// runner steppers and agent handles) and RestoreImage overlays the
+// runner threads and agent handles) and RestoreImage overlays the
 // generation's state afterwards. The policy rides along as a
 // (kind, opaque blob) pair via the PolicySnapshotter capability.
 

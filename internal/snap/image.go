@@ -179,9 +179,12 @@ func Decode(r io.Reader) (*Image, error) {
 	if coreLen > maxSection || shardLen > maxSection {
 		return nil, fmt.Errorf("%w: implausible section lengths", ErrCorrupt)
 	}
-	payload := make([]byte, int(coreLen)+int(shardLen)+sha256.Size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated body: %v", ErrCorrupt, err)
+	// Read what is there rather than allocating what the header claims,
+	// so a damaged length costs only the bytes actually supplied.
+	want := int64(coreLen) + int64(shardLen) + sha256.Size
+	payload, err := io.ReadAll(io.LimitReader(r, want))
+	if err != nil || int64(len(payload)) != want {
+		return nil, fmt.Errorf("%w: truncated body: read %d of %d bytes (%v)", ErrCorrupt, len(payload), want, err)
 	}
 	body := payload[:int(coreLen)+int(shardLen)]
 	var sum [sha256.Size]byte

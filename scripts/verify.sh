@@ -26,6 +26,9 @@ go test ./...
 echo "== perfbench module (separate module: gofmt, vet, digest and serve-oracles == serve-shinjuku tests)"
 (cd perfbench && test -z "$(gofmt -l .)" && go vet ./... && go test ./...)
 
+echo "== fuzz smoke (ReadSnapshot/Restore never panic on outside bytes)"
+go test -run '^$' -fuzz FuzzReadSnapshot -fuzztime 20s .
+
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
