@@ -118,8 +118,6 @@ func runDiff(oldPath, newPath string) int {
 		}
 	}
 
-	shardCheck(newBF, &regressions)
-
 	if oldBF.wall > 0 && newBF.wall > 0 {
 		fmt.Printf("wall: %.0fs -> %.0fs (old host %v cpus, new host %v cpus)\n",
 			oldBF.wall, newBF.wall, oldBF.cpus, newBF.cpus)
@@ -130,29 +128,6 @@ func runDiff(oldPath, newPath string) int {
 	}
 	fmt.Printf("ghost-bench -diff: OK (%d common benchmarks)\n", len(names))
 	return 0
-}
-
-// shardCheck compares the sharded vs single-queue ablation runs in the
-// new recording. The conservative time-window coupling costs a few
-// percent of serial work, so on a single-CPU host shards=4 is expected
-// to be slightly slower; the speedup gate only applies when the
-// recording host actually had cores to run domains on.
-func shardCheck(bf *benchFile, regressions *int) {
-	s1, ok1 := bf.benches["BenchmarkFig8AblationShards1"]
-	s4, ok4 := bf.benches["BenchmarkFig8AblationShards4"]
-	if !ok1 || !ok4 {
-		return
-	}
-	v1, v4 := s1["ns/op"], s4["ns/op"]
-	if v1 <= 0 || v4 <= 0 {
-		return
-	}
-	fmt.Printf("sharded ablation: shards=4 runs at %s of shards=1 wall time (host: %v cpus)\n",
-		ratioStr(v4, v1), bf.cpus)
-	if bf.cpus > 1 && v4 > v1*0.97 {
-		fmt.Printf("  REGRESSION: no wall-time win from -shards 4 on a %v-cpu host\n", bf.cpus)
-		*regressions++
-	}
 }
 
 func metricPair(o, n map[string]float64, key string) (ov, nv float64, ok bool) {

@@ -6,7 +6,7 @@
 //	ghost-bench -list
 //	ghost-bench -exp fig6a
 //	ghost-bench -exp all -quick
-//	ghost-bench -exp fig8-ablation -shards 4
+//	ghost-bench -exp fig8-ablation -parallel 4
 //	ghost-bench -exp fig5 -quick -snapshot-every 5ms  # restore-transparency smoke
 //	ghost-bench -diff BENCH_old.json BENCH_new.json
 //
@@ -41,7 +41,6 @@ func realMain() int {
 	)
 	c.SeedFlag(flag.CommandLine, 1)
 	c.ParallelFlag(flag.CommandLine)
-	c.ShardsFlag(flag.CommandLine)
 	c.QuickFlag(flag.CommandLine, "shrink durations/sweeps for a fast pass")
 	c.SnapshotFlags(flag.CommandLine)
 	c.ProfileFlags(flag.CommandLine)
@@ -86,7 +85,7 @@ func realMain() int {
 	defer stop()
 
 	opts := experiments.Options{
-		Quick: c.Quick, Seed: c.Seed, Parallel: c.Parallel, Shards: c.Shards,
+		Quick: c.Quick, Seed: c.Seed, Parallel: c.Parallel,
 		SnapshotEvery: sim.Duration(c.SnapshotEvery),
 	}
 	for _, e := range todo {

@@ -8,7 +8,6 @@
 //
 //	ghost-check -seeds 500 -parallel 8     # scan seeds 1..500
 //	ghost-check -quick -seeds 25           # CI smoke configuration
-//	ghost-check -seeds 50 -shards 2        # force sharded event queues
 //	ghost-check -repro "seed=7 policy=shinjuku cpus=4 threads=6 horizon=20.000ms"
 //	ghost-check -seed 42 -mutate skip-tseq # run one seed with a seeded bug
 //
@@ -43,7 +42,6 @@ func realMain() int {
 	c.SeedFlag(flag.CommandLine, 1)
 	c.SeedsFlag(flag.CommandLine, 100, "scenarios")
 	c.ParallelFlag(flag.CommandLine)
-	c.ShardsFlag(flag.CommandLine)
 	c.QuickFlag(flag.CommandLine, "halve every scenario horizon (CI smoke mode)")
 	c.SnapshotFlags(flag.CommandLine)
 	c.ProfileFlags(flag.CommandLine)
@@ -76,9 +74,6 @@ func realMain() int {
 		if *mutate != "" {
 			s.Mutation = *mutate
 		}
-		if c.Shards > 0 {
-			s.Shards = c.Shards
-		}
 		if c.Restore != "" {
 			return reproFromFile(s, c.Restore)
 		}
@@ -95,9 +90,6 @@ func realMain() int {
 			if s.Horizon /= 2; s.Horizon < 5*sim.Millisecond {
 				s.Horizon = 5 * sim.Millisecond
 			}
-		}
-		if c.Shards > 0 {
-			s.Shards = c.Shards
 		}
 		s.Mutation = *mutate
 		jobs[i] = experiments.Job{

@@ -7,7 +7,6 @@
 //	ghost-sim -machine xeon-e5 -sched ghost-shinjuku -rate 200000 -dur 2s
 //	ghost-sim -sched cfs -service 25us -workers 32
 //	ghost-sim -seeds 8 -parallel 4   # seed sensitivity sweep, 4 workers
-//	ghost-sim -shards 4              # sharded event queue, same bytes out
 //	ghost-sim -snapshot-every 100ms  # write a .snap checkpoint per interval
 //	ghost-sim -restore f.snap -dur 1s  # resume one and run to t=1s
 package main
@@ -38,7 +37,6 @@ type scenario struct {
 	cpus      int
 	dur       time.Duration
 	seed      uint64
-	shards    int
 	snapEvery time.Duration
 	restore   string
 	traceLog  bool
@@ -74,7 +72,6 @@ func realMain() int {
 	c.SeedFlag(flag.CommandLine, 1)
 	c.SeedsFlag(flag.CommandLine, 1, "simulations")
 	c.ParallelFlag(flag.CommandLine)
-	c.ShardsFlag(flag.CommandLine)
 	c.QuickFlag(flag.CommandLine, "cap -dur at 200ms for a fast smoke pass")
 	c.SnapshotFlags(flag.CommandLine)
 	c.ProfileFlags(flag.CommandLine)
@@ -125,7 +122,7 @@ func realMain() int {
 	sc := scenario{
 		machine: *machine, topo: topo, sched: *sched, rate: *rate,
 		service: *service, bimodal: *bimodal, workers: *workers, cpus: *cpus,
-		dur: *dur, seed: *seed, shards: c.Shards, snapEvery: c.SnapshotEvery,
+		dur: *dur, seed: *seed, snapEvery: c.SnapshotEvery,
 		restore: c.Restore, traceLog: *traceLog, traceOut: *traceOut,
 		metrics: *metrics, faultsIn: *faultsIn, invar: *invar,
 	}
@@ -188,9 +185,6 @@ func realMain() int {
 func (sc scenario) run() (string, error) {
 	var b strings.Builder
 	var opts []ghost.MachineOption
-	if sc.shards > 1 {
-		opts = append(opts, ghost.WithShards(sc.shards))
-	}
 	if sc.invar {
 		opts = append(opts, ghost.WithInvariants())
 	}

@@ -18,8 +18,8 @@
 // decision quantum, and returns an Observation of the enclave plus a
 // reward derived from the SLO. Everything is deterministic: the same
 // Spec and action sequence produce a byte-identical observation and
-// reward stream at any shard count, and concurrently running
-// environments do not interact.
+// reward stream, and concurrently running environments do not
+// interact.
 //
 // The package deliberately imports only the public ghost facade — it is
 // both the supported external control surface and an existence proof
@@ -60,9 +60,6 @@ type Spec struct {
 	// Horizon is the total simulated run length (default 100 ms); the
 	// environment is done once it is reached.
 	Horizon ghost.Duration
-	// Shards splits the machine's event queue (ghost.WithShards);
-	// observation streams are byte-identical at any value.
-	Shards int
 	// Workload configures the open-loop serving load.
 	Workload WorkloadSpec
 	// SLO is the latency objective rewards are scored against
@@ -209,9 +206,6 @@ func Open(spec Spec) (*Env, error) {
 	}
 
 	var mopts []ghost.MachineOption
-	if spec.Shards > 1 {
-		mopts = append(mopts, ghost.WithShards(spec.Shards))
-	}
 	if spec.Invariants {
 		mopts = append(mopts, ghost.WithInvariants())
 	}

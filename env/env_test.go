@@ -127,26 +127,6 @@ func drive(spec env.Spec) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-func TestStreamDeterministicAcrossShards(t *testing.T) {
-	spec := baseSpec()
-	spec.AutoDispatch = false
-	want, err := drive(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		s := spec
-		s.Shards = shards
-		got, err := drive(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("shards=%d digest %s != unsharded %s", shards, got, want)
-		}
-	}
-}
-
 func TestStreamDeterministicUnderParallelism(t *testing.T) {
 	spec := baseSpec()
 	want, err := drive(spec)

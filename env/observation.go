@@ -10,8 +10,8 @@ import (
 
 // Observation is a deterministic snapshot of the enclave after a Step.
 // For a fixed Spec and action sequence the stream of observations is
-// byte-identical (via String) at any shard count and alongside any
-// number of concurrently running environments.
+// byte-identical (via String) alongside any number of concurrently
+// running environments.
 type Observation struct {
 	// Step counts completed Steps; Now is the simulated time.
 	Step int

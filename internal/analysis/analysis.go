@@ -137,7 +137,6 @@ func Analyzers() []*Analyzer {
 		HotPathAllocAnalyzer,
 		EventHandleAnalyzer,
 		APISurfaceAnalyzer,
-		ShardSafetyAnalyzer,
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 //     appear;
 //   - whole program (RunProgram): taint over the call graph. Every
 //     function declared in a scoped package is a root (that set contains
-//     the sim-callback sinks — sim.Scheduler callbacks, Policy.Schedule
+//     the sim-callback sinks — sim.Engine callbacks, Policy.Schedule
 //     implementations, oracle observers, workload generators — plus
 //     everything else that executes inside a run), and any function a
 //     root transitively reaches, in whatever package, is scanned for the

@@ -21,14 +21,9 @@ import (
 //     means "same recycled slot", not "same scheduled callback".
 //
 // Handles must be held by value and queried with Pending/Cancel only.
-// The same rules apply to handles obtained through the sim.Scheduler
-// interface (Engine and Shard both return sim.Event), and the check
-// also flags *sim.Scheduler declarations: the interface value is
-// already a reference, and a pointer to it defeats the narrow seam the
-// interface exists to provide.
 var EventHandleAnalyzer = &Analyzer{
 	Name: "eventhandle",
-	Doc:  "flags *sim.Event storage, &handle aliasing, ==/!= comparison of sim.Event handles, and *sim.Scheduler declarations",
+	Doc:  "flags *sim.Event storage, &handle aliasing, and ==/!= comparison of sim.Event handles",
 	Run:  runEventHandle,
 }
 
@@ -53,25 +48,6 @@ func isSimEventPtr(t types.Type) bool {
 	return ok && isSimEvent(ptr.Elem())
 }
 
-// isSimSchedulerPtr matches *sim.Scheduler: a pointer to the scheduler
-// interface (same path-suffix matching as isSimEvent).
-func isSimSchedulerPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || !types.IsInterface(named) {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Name() != "Scheduler" || obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "ghost/internal/sim" || strings.HasSuffix(path, "/internal/sim")
-}
-
 func runEventHandle(p *Pass) {
 	info := p.Pkg.Info
 	if info == nil {
@@ -87,10 +63,6 @@ func runEventHandle(p *Pass) {
 		if isSimEventPtr(v.Type()) {
 			p.Reportf(id.Pos(),
 				"%q is declared *sim.Event: handles are values with generations, and a pointer aliases pooled storage that outlives the event (stale-handle bug); store the Event by value", id.Name)
-		}
-		if isSimSchedulerPtr(v.Type()) {
-			p.Reportf(id.Pos(),
-				"%q is declared *sim.Scheduler: the interface value is already a reference (Engine or Shard behind the seam); declare it sim.Scheduler", id.Name)
 		}
 	}
 	for _, f := range p.Pkg.Files {

@@ -57,31 +57,6 @@ func TestRewindReproducesViolation(t *testing.T) {
 	}
 }
 
-// A sharded scenario rewinds the same way: the checkpoint carries the
-// shard-independent core image plus the domain layout.
-func TestRewindSharded(t *testing.T) {
-	s := Generate(31) // central-fifo, 4 shards
-	if s.Shards < 2 {
-		t.Fatalf("seed 31 no longer shards (got %d); pick a new directed seed", s.Shards)
-	}
-	s.Mutation = "drop-wakeup"
-	cr := s.RunWithCheckpoints(s.Horizon / 8)
-	if !cr.Result.Failed() {
-		t.Fatal("mutated sharded scenario did not fail")
-	}
-	rep, err := Rewind(s, cr)
-	if err != nil {
-		t.Fatalf("rewind: %v", err)
-	}
-	if !rep.Result.Failed() {
-		t.Fatal("sharded rewind did not reproduce a violation")
-	}
-	if rep.Replayed+rep.Skipped != cr.FinalExecuted {
-		t.Fatalf("sharded rewind diverged: replayed %d + skipped %d != %d",
-			rep.Replayed, rep.Skipped, cr.FinalExecuted)
-	}
-}
-
 // A healthy capable scenario takes its checkpoints with zero skips and
 // reports nothing to rewind from.
 func TestCheckpointsOnPassingRun(t *testing.T) {

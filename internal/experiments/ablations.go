@@ -94,7 +94,7 @@ func (b *bpfQueue) PickNextOnIdle(cpu hw.CPUID) *kernel.Thread {
 
 func bpfRun(withBPF bool, o Options) (p50, p99 sim.Duration, thr float64, commits uint64) {
 	topo := hw.XeonE5()
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	var cpus []hw.CPUID
 	for i := 0; i <= 12; i++ {

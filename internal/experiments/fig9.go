@@ -99,7 +99,7 @@ func fig9Run(mode fig9Mode, o Options) *fig9Result {
 		plan.Crash(crashT)
 	}
 
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards,
+	m := newMachine(machineOpts{topo: topo,
 		extra: []ghost.MachineOption{ghost.WithFaults(plan)}})
 	defer m.k.Shutdown()
 

@@ -94,7 +94,7 @@ func runBlockLoop(n int, burst sim.Duration) kernel.ThreadFunc {
 // returns (median message delivery latency, local schedule latency).
 func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
 	topo := hw.NewTopology(hw.Config{Name: "t3", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 2, SMTWidth: 1})
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(0, 1)
 	set := m.m.StartAgents(enc, policies.NewPerCPUFIFO(), ghost.PerCPU())
@@ -117,7 +117,7 @@ func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
 // agent.
 func measureGlobalDelivery(o Options) sim.Duration {
 	topo := hw.NewTopology(hw.Config{Name: "t3g", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 4, SMTWidth: 1})
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(0, 1, 2, 3)
 	set := m.startCentral(enc, policies.NewCentralFIFO())
@@ -135,7 +135,7 @@ func measureGlobalDelivery(o Options) sim.Duration {
 // context and measures until the last target thread is running.
 func measureRemoteE2E(o Options, n int) sim.Duration {
 	topo := hw.NewTopology(hw.Config{Name: "t3r", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 16, SMTWidth: 1})
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(func() []hw.CPUID {
 		var c []hw.CPUID
@@ -177,7 +177,7 @@ func measureRemoteE2E(o Options, n int) sim.Duration {
 // CPU — by construction the CFS context-switch cost.
 func measureCFSSwitch(o Options) sim.Duration {
 	topo := hw.NewTopology(hw.Config{Name: "t3c", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 1, SMTWidth: 1})
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	var total sim.Duration
 	var n int

@@ -78,7 +78,7 @@ func table4Run(scheduler string, work sim.Duration, o Options) (sim.Duration, si
 	}
 	mask := kernel.MaskOf(cpus...)
 
-	m := newMachine(machineOpts{topo: topo, shards: o.Shards})
+	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	ic := workload.NewIsolationChecker(m.k, 100*sim.Microsecond)
 

@@ -337,7 +337,7 @@ type window struct {
 // interception methods — all of which are safe on a nil *Injector — and
 // the agent SDK registers AgentHooks per enclave.
 type Injector struct {
-	eng    sim.Scheduler
+	eng    *sim.Engine
 	rnd    *sim.Rand
 	plan   *Plan
 	tracer func() *trace.Tracer
@@ -348,7 +348,7 @@ type Injector struct {
 
 // NewInjector schedules every fault of plan on eng and returns the
 // injector. Faults whose time already passed fire at the current time.
-func NewInjector(eng sim.Scheduler, plan *Plan) *Injector {
+func NewInjector(eng *sim.Engine, plan *Plan) *Injector {
 	in := &Injector{
 		eng:   eng,
 		rnd:   sim.NewRand(plan.Seed ^ 0xFA017FA017),

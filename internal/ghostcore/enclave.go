@@ -709,7 +709,7 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 		tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize, false, lat)
 		tr.IPI(e.k.Now(), txn.CPU, delay, groupSize)
 	}
-	e.k.SchedulerFor(txn.CPU).AfterCall(delay, g.installFn, rec)
+	e.k.Scheduler().AfterCall(delay, g.installFn, rec)
 }
 
 // TxnsRecall revokes committed transactions whose target threads have

@@ -276,7 +276,7 @@ func (tc *TaskContext) Block() Op { return Op{kind: actBlock} }
 // is scheduled now, when the body returns the Op.
 func (tc *TaskContext) Sleep(d sim.Duration) Op {
 	t := tc.t
-	t.k.SchedulerFor(t.lastCPU).AfterCall(d, t.k.wakeFn, t)
+	t.k.eng.AfterCall(d, t.k.wakeFn, t)
 	return Op{kind: actBlock}
 }
 

@@ -10,7 +10,7 @@ package sim
 // that a pending firing is serializable: snapshots record it under the
 // deadline's Key and restore re-links it via RestoreArmed.
 type Deadline struct {
-	eng Scheduler
+	eng *Engine
 	fn  func()
 	ev  Event
 
@@ -28,7 +28,7 @@ func deadlineFire(a any) {
 }
 
 // NewDeadline returns a disarmed deadline bound to eng.
-func NewDeadline(eng Scheduler) *Deadline { return &Deadline{eng: eng} }
+func NewDeadline(eng *Engine) *Deadline { return &Deadline{eng: eng} }
 
 // Arm schedules fn to run at t, cancelling any pending firing first.
 // The generational Event handle goes stale once the deadline fires, so no

@@ -60,9 +60,10 @@ type EventRec struct {
 	Args []int64 `json:"args,omitempty"`
 }
 
-// CoreImage is the shard-layout-independent machine state. The forward
-// digest is computed over its serialized form only, so snapshots of the
-// same logical machine agree across shard counts.
+// CoreImage is the machine state. The forward digest is computed over its
+// serialized form only. It never depended on how the machine's events
+// were queued, so images written when one machine could be split over
+// several event queues restore into the one engine unchanged.
 type CoreImage struct {
 	Topology hw.Config    `json:"topology"`
 	Cost     hw.CostModel `json:"cost"`
@@ -80,37 +81,34 @@ type CoreImage struct {
 	Events     []EventRec          `json:"events,omitempty"`
 }
 
-// ShardImage is the shard-layout-dependent remainder: the shard count,
-// each pending event's home domain, and the sharding diagnostics.
-type ShardImage struct {
-	Shards    int    `json:"shards"`
-	EventDoms []int  `json:"eventDoms,omitempty"`
-	Windows   uint64 `json:"windows,omitempty"`
-	Mailboxed uint64 `json:"mailboxed,omitempty"`
-	Fastpath  uint64 `json:"fastpath,omitempty"`
+// shardSection is the container's second section. It described how the
+// machine's events were split over event queues; there is one queue per
+// machine now, so Encode writes shards 1 and Decode checks that the
+// section is well-formed JSON and otherwise ignores it. Its other fields
+// (eventDoms, windows, mailboxed, fastpath) are skipped on decode.
+type shardSection struct {
+	Shards int `json:"shards"`
 }
 
-// Image is a decoded snapshot: the core state plus the shard section.
+// Image is a decoded snapshot: the core state.
 type Image struct {
-	Core  *CoreImage
-	Shard *ShardImage
+	Core *CoreImage
 
 	coreJSON []byte
 }
 
 // NewImage wraps freshly saved state into an Image (Save calls this; it
 // is exported for tests that construct images directly).
-func NewImage(core *CoreImage, shard *ShardImage) (*Image, error) {
+func NewImage(core *CoreImage) (*Image, error) {
 	cj, err := json.Marshal(core)
 	if err != nil {
 		return nil, err
 	}
-	return &Image{Core: core, Shard: shard, coreJSON: cj}, nil
+	return &Image{Core: core, coreJSON: cj}, nil
 }
 
 // Digest returns the hex sha256 of the serialized core state — the
-// machine-identity fingerprint used by the determinism gates. It is
-// independent of the shard layout.
+// machine-identity fingerprint used by the determinism gates.
 func (img *Image) Digest() string {
 	sum := sha256.Sum256(img.coreJSON)
 	return hex.EncodeToString(sum[:])
@@ -119,17 +117,14 @@ func (img *Image) Digest() string {
 // Now returns the simulated time the snapshot was taken at.
 func (img *Image) Now() sim.Time { return sim.Time(img.Core.Now) }
 
-// Shards returns the shard count the snapshot was taken under.
-func (img *Image) Shards() int { return img.Shard.Shards }
-
 // magic identifies the snapshot container format.
 var magic = [8]byte{'g', 'h', 'o', 's', 't', 's', 'n', 'p'}
 
 // Encode writes the snapshot container: magic, version, the two
-// length-prefixed JSON sections, and a trailing sha256 of everything
-// after the magic.
+// length-prefixed JSON sections (core, then the shard section), and a
+// trailing sha256 of everything after the magic.
 func (img *Image) Encode(w io.Writer) error {
-	sj, err := json.Marshal(img.Shard)
+	sj, err := json.Marshal(shardSection{Shards: 1})
 	if err != nil {
 		return err
 	}
@@ -201,9 +196,9 @@ func Decode(r io.Reader) (*Image, error) {
 	if err := json.Unmarshal(cj, core); err != nil {
 		return nil, fmt.Errorf("%w: core section: %v", ErrCorrupt, err)
 	}
-	shard := &ShardImage{}
-	if err := json.Unmarshal(sj, shard); err != nil {
+	var shard shardSection
+	if err := json.Unmarshal(sj, &shard); err != nil {
 		return nil, fmt.Errorf("%w: shard section: %v", ErrCorrupt, err)
 	}
-	return &Image{Core: core, Shard: shard, coreJSON: append([]byte(nil), cj...)}, nil
+	return &Image{Core: core, coreJSON: append([]byte(nil), cj...)}, nil
 }

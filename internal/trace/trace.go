@@ -101,9 +101,8 @@ func (t *Tracer) push(e event) {
 
 // --- sim layer -------------------------------------------------------
 
-// EngineDispatch observes one engine event dispatch (wired through the
-// sim.DispatchObserver seam, so it works on the plain Engine and on
-// sharded sub-engines alike). It only feeds metrics; per-event timeline
+// EngineDispatch observes one engine event dispatch (installed as the
+// engine's OnDispatch hook). It only feeds metrics; per-event timeline
 // records would dwarf the schedule itself.
 func (t *Tracer) EngineDispatch(now sim.Time, queued int) {
 	if t == nil {

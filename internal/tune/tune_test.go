@@ -22,7 +22,7 @@ var synthetic = Scenario{
 			Add(tunable.Tunable{Name: "y", Min: 0, Max: 1, Default: 0, Integer: true,
 				Apply: func(float64) {}})
 	},
-	Run: func(params map[string]float64, seed uint64, horizon sim.Duration, shards int) Objective {
+	Run: func(params map[string]float64, seed uint64, horizon sim.Duration) Objective {
 		x, y := 200.0, 0.0
 		if params != nil {
 			x, y = params["x"], params["y"]
@@ -115,14 +115,9 @@ func TestScenariosSmoke(t *testing.T) {
 				t.Fatal("empty search space")
 			}
 			defaults := s.Space().Defaults()
-			o := s.Run(defaults, 1, 5*sim.Millisecond, 0)
+			o := s.Run(defaults, 1, 5*sim.Millisecond)
 			if o.Throughput <= 0 || o.P99 <= 0 {
 				t.Fatalf("degenerate objective %+v", o)
-			}
-			// Byte-identical objective when sharded.
-			o2 := s.Run(defaults, 1, 5*sim.Millisecond, 4)
-			if o != o2 {
-				t.Fatalf("sharded objective %+v != %+v", o2, o)
 			}
 		})
 	}

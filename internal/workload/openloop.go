@@ -8,7 +8,7 @@ import (
 // are exponential, independent of service progress (the load-generation
 // model of §4.2). Stop it or let the deadline pass.
 type PoissonSource struct {
-	eng     sim.Scheduler
+	eng     *sim.Engine
 	rand    *sim.Rand
 	rate    float64 // requests per second
 	service ServiceDist
@@ -21,7 +21,7 @@ type PoissonSource struct {
 // NewPoissonSource creates a generator emitting rate requests/second with
 // the given service-time distribution into sink. Arrivals begin one
 // inter-arrival time after start.
-func NewPoissonSource(eng sim.Scheduler, rand *sim.Rand, rate float64, service ServiceDist, sink func(*Request)) *PoissonSource {
+func NewPoissonSource(eng *sim.Engine, rand *sim.Rand, rate float64, service ServiceDist, sink func(*Request)) *PoissonSource {
 	if rate <= 0 {
 		panic("workload: non-positive arrival rate")
 	}

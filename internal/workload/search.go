@@ -23,7 +23,7 @@ import (
 // matching Fig 8's time axes.
 type Search struct {
 	k    *kernel.Kernel
-	eng  sim.Scheduler
+	eng  *sim.Engine
 	rand *sim.Rand
 
 	poolA   [2]*WorkerPool // per-socket pools

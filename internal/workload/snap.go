@@ -17,7 +17,7 @@ import (
 // (copy-dominated), matching the paper's test.
 type Snap struct {
 	k   *kernel.Kernel
-	eng sim.Scheduler
+	eng *sim.Engine
 
 	pkts     fifo[*snapPkt]       // shared packet ring (ingress + egress events)
 	sleepers fifo[*kernel.Thread] // workers asleep on the ring, oldest first

@@ -313,7 +313,7 @@ func (p *PoissonSource) EventForSub(sub string) (func(any), any, bool) {
 // an engine event) and all parameters come from SnapshotLoad. The sink
 // closure is owner-bound, so restores always supply it here via a
 // per-restore component factory.
-func NewPoissonShell(eng sim.Scheduler, sink func(*Request)) *PoissonSource {
+func NewPoissonShell(eng *sim.Engine, sink func(*Request)) *PoissonSource {
 	return &PoissonSource{eng: eng, rand: sim.NewRand(1), stopped: true, sink: sink}
 }
 

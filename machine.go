@@ -19,13 +19,10 @@ import (
 // enclaves, agents, and threads. It is the top-level object of the
 // public API.
 type Machine struct {
-	sched sim.Scheduler // root scheduler: eng, or grp.Root() when sharded
-	eng   *sim.Engine   // single event queue; nil when sharded
-	shd   *sim.Sharded  // owned coordinator; nil unsharded or cluster-driven
-	grp   *sim.Group    // this machine's event-queue group; nil unsharded
-	k     *kernel.Kernel
-	tr    *trace.Tracer
-	inv   *check.Checker
+	eng *sim.Engine // the machine's one event queue
+	k   *kernel.Kernel
+	tr  *trace.Tracer
+	inv *check.Checker
 
 	// Snapshot bookkeeping: live agent generations and registered
 	// components, in creation order; periodic-checkpoint state.
@@ -54,8 +51,6 @@ type machineConfig struct {
 	tracer        *trace.Tracer
 	plan          *faults.Plan
 	oracles       []check.Oracle
-	shards        int
-	cluster       *Cluster
 	snapEvery     sim.Duration
 	restoreComps  map[string]func(*Machine) (SnapshotComponent, error)
 }
@@ -111,51 +106,6 @@ func WithInvariants(oracles ...InvariantOracle) MachineOption {
 	}
 }
 
-// WithShards splits the machine's event queue into n per-CPU-group
-// domains (sub-engines) synchronized by conservative lookahead windows
-// (see internal/sim Sharded). CPUs are partitioned into n contiguous
-// index ranges, which follow the topology's core/CCX enumeration order;
-// n is clamped to the CPU count. n <= 1 keeps the exact single-queue
-// engine. Reports and metrics derived from simulation state are
-// byte-identical at any shard count.
-func WithShards(n int) MachineOption {
-	return func(c *machineConfig) { c.shards = n }
-}
-
-// Cluster couples several machines into one sharded simulation so their
-// runs execute concurrently (each machine's event-queue group on a worker
-// goroutine) while remaining bit-reproducible: the machines share no
-// state, so results are independent of the worker count.
-type Cluster struct {
-	shd *sim.Sharded
-}
-
-// NewCluster returns a cluster executing machine groups on up to workers
-// goroutines (0 or 1 = serial).
-func NewCluster(workers int) *Cluster { return &Cluster{shd: sim.NewSharded(workers)} }
-
-// Run advances every machine in the cluster by d.
-func (c *Cluster) Run(d Duration) { c.shd.RunFor(d) }
-
-// Now returns the cluster's barrier time.
-func (c *Cluster) Now() Time { return c.shd.Now() }
-
-// InCluster makes the machine a member of cl: it is driven by
-// Cluster.Run, not Machine.Run.
-func InCluster(cl *Cluster) MachineOption {
-	return func(c *machineConfig) { c.cluster = cl }
-}
-
-// shdOrOwn returns the cluster's coordinator, or gives m a private
-// single-worker one (the WithShards-without-cluster case).
-func (c *Cluster) shdOrOwn(m *Machine) *sim.Sharded {
-	if c != nil {
-		return c.shd
-	}
-	m.shd = sim.NewSharded(1)
-	return m.shd
-}
-
 // NewMachine builds a machine with the full class stack on the given
 // topology. By default the machine collects aggregate scheduling
 // metrics (Machine.Metrics); add WithTrace to also record a
@@ -168,30 +118,8 @@ func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	m := &Machine{tr: cfg.tracer}
-	nd := cfg.shards
-	if nd > topo.NumCPUs() {
-		nd = topo.NumCPUs()
-	}
-	if cfg.cluster == nil && nd <= 1 {
-		m.eng = sim.NewEngine()
-		m.sched = m.eng
-	} else {
-		coord := cfg.cluster.shdOrOwn(m)
-		if nd < 1 {
-			nd = 1
-		}
-		// Lookahead: the minimum simulated latency of any cross-CPU
-		// interaction, i.e. the cheapest remote commit-to-target path.
-		m.grp = coord.NewGroup(cfg.cost.RemoteCommitTargetCost(1, false), nd)
-		n := topo.NumCPUs()
-		per := (n + nd - 1) / nd
-		for cpu := 0; cpu < n; cpu++ {
-			m.grp.MapCPU(cpu, cpu/per)
-		}
-		m.sched = m.grp.Root()
-	}
-	k := kernel.New(m.sched, topo, cfg.cost)
+	m := &Machine{eng: sim.NewEngine(), tr: cfg.tracer}
+	k := kernel.New(m.eng, topo, cfg.cost)
 	m.k = k
 	k.SetTracer(cfg.tracer)
 	m.Agents = kernel.NewAgentClass(k)
@@ -204,7 +132,7 @@ func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
 		m.inv = check.Attach(k, m.Ghost, cfg.oracles...)
 	}
 	if cfg.plan != nil {
-		k.SetFaults(faults.NewInjector(m.sched, cfg.plan))
+		k.SetFaults(faults.NewInjector(m.eng, cfg.plan))
 	}
 	if cfg.snapEvery > 0 {
 		m.snapEvery = cfg.snapEvery
@@ -230,14 +158,8 @@ func (m *Machine) Metrics() *Metrics {
 	ms := m.tr.Metrics()
 	// The engine meters itself; its counts are authoritative regardless
 	// of tracer mode.
-	if m.grp != nil {
-		// Sharded: the group-wide figures byte-match the single-queue run.
-		ms.EngineEvents = m.grp.Executed()
-		ms.EngineMaxQueue = m.grp.MaxQueue()
-	} else {
-		ms.EngineEvents = m.eng.Executed
-		ms.EngineMaxQueue = m.eng.MaxQueue
-	}
+	ms.EngineEvents = m.eng.Executed
+	ms.EngineMaxQueue = m.eng.MaxQueue
 	return ms
 }
 
@@ -248,7 +170,7 @@ func (m *Machine) Metrics() *Metrics {
 func (m *Machine) TraceTo(w io.Writer) error { return m.tr.WriteJSON(w) }
 
 // Now returns the current simulated time.
-func (m *Machine) Now() Time { return m.sched.Now() }
+func (m *Machine) Now() Time { return m.eng.Now() }
 
 // Run advances simulated time by d.
 func (m *Machine) Run(d Duration) { m.RunUntil(m.Now() + d) }
@@ -262,7 +184,7 @@ func (m *Machine) RunUntil(t Time) {
 		if m.snapEvery > 0 && m.nextCk < stop {
 			stop = m.nextCk
 		}
-		m.runUntil(stop)
+		m.eng.RunUntil(stop)
 		if m.snapEvery > 0 && m.Now() >= m.nextCk {
 			if s, err := m.Snapshot(); err == nil {
 				m.checkpoints = append(m.checkpoints, s)
@@ -277,44 +199,11 @@ func (m *Machine) RunUntil(t Time) {
 	}
 }
 
-func (m *Machine) runUntil(t Time) {
-	switch {
-	case m.eng != nil:
-		m.eng.RunUntil(t)
-	case m.shd != nil:
-		m.shd.RunUntil(t)
-	default:
-		panic("ghost: a machine in a Cluster is driven by Cluster.Run")
-	}
-}
-
-// ShardStats reports the sharded scheduler's window/traffic counters;
-// the zero value when the machine is unsharded.
-type ShardStats struct {
-	Domains   int    // event-queue domains (1 = single queue)
-	Windows   uint64 // synchronization windows executed
-	Mailboxed uint64 // cross-domain posts parked until a window barrier
-	Fastpath  uint64 // cross-domain posts inserted inside the window
-}
-
-// ShardStats returns the machine's sharding counters.
-func (m *Machine) ShardStats() ShardStats {
-	if m.grp == nil {
-		return ShardStats{Domains: 1}
-	}
-	return ShardStats{
-		Domains:   m.grp.Domains(),
-		Windows:   m.grp.Windows,
-		Mailboxed: m.grp.Mailboxed,
-		Fastpath:  m.grp.Fastpath,
-	}
-}
-
 // Shutdown finalizes the invariant checker (if attached) and unwinds
 // all simulated threads; call when done (defer it).
 func (m *Machine) Shutdown() {
 	if m.inv != nil {
-		m.inv.Finish(m.sched.Now())
+		m.inv.Finish(m.eng.Now())
 	}
 	m.k.Shutdown()
 }
@@ -445,11 +334,11 @@ func (m *Machine) Wake(t *Thread) { m.k.Wake(t) }
 // Every invokes fn every period of simulated time (for drivers and
 // samplers).
 func (m *Machine) Every(period Duration, fn func(now Time)) {
-	sim.NewTicker(m.sched, period, fn)
+	sim.NewTicker(m.eng, period, fn)
 }
 
 // After invokes fn once, d from now.
-func (m *Machine) After(d Duration, fn func()) { m.sched.After(d, fn) }
+func (m *Machine) After(d Duration, fn func()) { m.eng.After(d, fn) }
 
 // IdleCPUs lists currently idle CPUs.
 func (m *Machine) IdleCPUs() []CPUID { return m.k.IdleCPUs() }

@@ -9,11 +9,11 @@
 #   -quick  smoke mode for CI: only the engine hot-path and full-sweep
 #           benchmarks, output to /tmp unless an explicit path is given.
 #
-# The default output (BENCH_pr10.json) is the current recorded artifact
-# (the PR 8 timer-wheel recording was never committed — the BENCH_*.json
-# gitignore rule swallowed it — so PR 9 re-recorded and re-pointed the
-# gate); regenerate on a quiet machine and compare recordings with
-# `ghost-bench -diff old.json new.json`.
+# The default output (BENCH_pr10.json) is the newest recorded artifact,
+# and the one live gate: verify.sh and CI run `bench.sh -quick` and
+# `ghost-bench -diff BENCH_pr10.json /tmp/bench_quick.json`, so the
+# result depends on the tree under test. Regenerate it on a quiet machine
+# and compare recordings with `ghost-bench -diff old.json new.json`.
 set -e
 
 PATTERN='.'

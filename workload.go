@@ -46,7 +46,7 @@ var FiniteSpinner = workload.FiniteSpinner
 // event queue: rate requests/second with the given service distribution,
 // each delivered to sink at its arrival time.
 func (m *Machine) NewPoissonSource(r *Rand, rate float64, service ServiceDist, sink func(*Request)) *PoissonSource {
-	return workload.NewPoissonSource(m.sched, r, rate, service, sink)
+	return workload.NewPoissonSource(m.eng, r, rate, service, sink)
 }
 
 // NewWorkerPool spawns n worker threads via the given spawner (which
@@ -83,5 +83,5 @@ func (m *Machine) NewWorkerPoolShell(rec *LatencyRecorder) *WorkerPool {
 // Poisson source component must be restored with a
 // WithRestoredComponent factory that calls this.
 func (m *Machine) NewPoissonShell(sink func(*Request)) *PoissonSource {
-	return workload.NewPoissonShell(m.sched, sink)
+	return workload.NewPoissonShell(m.eng, sink)
 }
