@@ -67,14 +67,17 @@ func (p *CentralFIFO) Attach(ctx *agentsdk.Context) {
 	}
 	p.queues = make([][]*TState, p.NumBands)
 	p.running = nil
-	// unplace clears ts's last CPU without checking the placement is
-	// still ts's, so a thread placed by a quantum preemption loses its
-	// placement when the preempted thread's message arrives.
+	// unplace forgets ts's last CPU and clears that CPU's placement only
+	// while it still holds ts: a quantum or band preemption places the
+	// successor before the preempted thread's message arrives.
 	unplace := func(ts *TState) {
-		if ts.CPU >= 0 {
-			p.running.set(hw.CPUID(ts.CPU), nil)
-			ts.CPU = -1
+		if ts.CPU < 0 {
+			return
 		}
+		if cpu := hw.CPUID(ts.CPU); p.running.at(cpu) == ts {
+			p.running.set(cpu, nil)
+		}
+		ts.CPU = -1
 	}
 	p.tr = NewTracker()
 	p.tr.OnRunnable = func(ts *TState, m ghostcore.Message) {

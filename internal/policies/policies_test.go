@@ -259,3 +259,26 @@ func TestCentralFIFOUnderLoad(t *testing.T) {
 		t.Fatalf("p99 = %v", p99)
 	}
 }
+
+// TestCentralFIFOQuantumAfterPreemption: with Quantum set, thread a is
+// quantum-preempted in favour of b; a's THREAD_PREEMPTED message must
+// not clear b's placement, so b is quantum-preempted in turn and c gets
+// the CPU long before b would finish.
+func TestCentralFIFOQuantumAfterPreemption(t *testing.T) {
+	e := newEnv(t, topo8(), kernel.MaskOf(0, 1))
+	pol := policies.NewCentralFIFO()
+	pol.Quantum = 100 * sim.Microsecond
+	agentsdk.Start(e.k, e.enc, e.ac, pol, agentsdk.Global())
+	var th [3]*kernel.Thread
+	for i, name := range []string{"a", "b", "c"} {
+		th[i] = e.enc.SpawnThread(kernel.SpawnOpts{Name: name}, sequential.Body(func(tc *sequential.Task) {
+			tc.Run(2 * sim.Millisecond)
+		}))
+	}
+	e.eng.RunFor(sim.Millisecond)
+	for _, x := range th {
+		if got := x.RuntimeNow(); got == 0 || got > 500*sim.Microsecond {
+			t.Errorf("%s ran %v in the first 1ms, want a share of the quantum round-robin", x.Name(), got)
+		}
+	}
+}
