@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,40 +29,49 @@ import (
 	"ghost/internal/snap"
 )
 
-func main() { os.Exit(realMain()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// realMain returns the exit status instead of calling os.Exit inline,
-// so the deferred -cpuprofile/-memprofile stop function always runs.
-func realMain() int {
+// run parses args and returns the exit status instead of calling
+// os.Exit inline, so the deferred -cpuprofile/-memprofile stop function
+// always runs.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ghost-check", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		c        cli.Common
-		repro    = flag.String("repro", "", `run one scenario from a repro string, e.g. "seed=7 policy=shinjuku cpus=4 threads=6 horizon=20.000ms"`)
-		mutate   = flag.String("mutate", "", "seed an intentional protocol bug: "+strings.Join(check.MutationNames(), ", "))
-		noShrink = flag.Bool("noshrink", false, "report the first failing scenario without shrinking it")
-		verbose  = flag.Bool("v", false, "print every scenario as it is checked")
+		repro    = fs.String("repro", "", `run one scenario from a repro string, e.g. "seed=7 policy=shinjuku cpus=4 threads=6 horizon=20.000ms"`)
+		mutate   = fs.String("mutate", "", "seed an intentional protocol bug: "+strings.Join(check.MutationNames(), ", "))
+		noShrink = fs.Bool("noshrink", false, "report the first failing scenario without shrinking it")
+		verbose  = fs.Bool("v", false, "print every scenario as it is checked")
 	)
-	c.SeedFlag(flag.CommandLine, 1)
-	c.SeedsFlag(flag.CommandLine, 100, "scenarios")
-	c.ParallelFlag(flag.CommandLine)
-	c.QuickFlag(flag.CommandLine, "halve every scenario horizon (CI smoke mode)")
-	c.SnapshotFlags(flag.CommandLine)
-	c.ProfileFlags(flag.CommandLine)
-	flag.Parse()
+	c.SeedFlag(fs, 1)
+	c.SeedsFlag(fs, 100, "scenarios")
+	c.ParallelFlag(fs)
+	c.QuickFlag(fs, "halve every scenario horizon (CI smoke mode)")
+	c.SnapshotFlags(fs)
+	c.ProfileFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	w := report{out: stdout, err: stderr}
 
 	if (c.SnapshotEvery > 0 || c.Restore != "") && *repro == "" {
-		fmt.Fprintln(os.Stderr, "ghost-check: -snapshot-every/-restore need a single scenario; use -repro")
+		fmt.Fprintln(w.err, "ghost-check: -snapshot-every/-restore need a single scenario; use -repro")
 		return 2
 	}
 
 	if *mutate != "" && !contains(check.MutationNames(), *mutate) {
-		fmt.Fprintf(os.Stderr, "ghost-check: unknown mutation %q (want one of %s)\n",
+		fmt.Fprintf(w.err, "ghost-check: unknown mutation %q (want one of %s)\n",
 			*mutate, strings.Join(check.MutationNames(), ", "))
 		return 2
 	}
 
 	stop, err := c.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ghost-check:", err)
+		fmt.Fprintln(w.err, "ghost-check:", err)
 		return 2
 	}
 	defer stop()
@@ -68,19 +79,19 @@ func realMain() int {
 	if *repro != "" {
 		s, err := check.ParseRepro(*repro)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ghost-check:", err)
+			fmt.Fprintln(w.err, "ghost-check:", err)
 			return 2
 		}
 		if *mutate != "" {
 			s.Mutation = *mutate
 		}
 		if c.Restore != "" {
-			return reproFromFile(s, c.Restore)
+			return w.reproFromFile(s, c.Restore)
 		}
 		if c.SnapshotEvery > 0 {
-			return reproWithRewind(s, sim.Duration(c.SnapshotEvery))
+			return w.reproWithRewind(s, sim.Duration(c.SnapshotEvery))
 		}
-		return reportScenario(s.Run())
+		return w.reportScenario(s.Run())
 	}
 
 	jobs := make([]experiments.Job, c.Seeds)
@@ -104,7 +115,7 @@ func realMain() int {
 	for _, r := range results {
 		res := r.(*check.Result)
 		if *verbose {
-			fmt.Printf("checked %s: %d violations\n", res.Scenario.Repro(), len(res.Violations))
+			fmt.Fprintf(w.out, "checked %s: %d violations\n", res.Scenario.Repro(), len(res.Violations))
 		}
 		if !res.Failed() {
 			continue
@@ -112,16 +123,16 @@ func realMain() int {
 		failures++
 		if failures > 1 {
 			// Report every failing seed but only shrink the first.
-			fmt.Printf("\nFAIL %s (%d violations)\n", res.Scenario.Repro(), len(res.Violations))
+			fmt.Fprintf(w.out, "\nFAIL %s (%d violations)\n", res.Scenario.Repro(), len(res.Violations))
 			continue
 		}
-		reportFailure(res, !*noShrink)
+		w.reportFailure(res, !*noShrink)
 	}
 	if failures > 0 {
-		fmt.Printf("\nghost-check: %d/%d scenarios violated invariants\n", failures, len(jobs))
+		fmt.Fprintf(w.out, "\nghost-check: %d/%d scenarios violated invariants\n", failures, len(jobs))
 		return 1
 	}
-	fmt.Printf("ghost-check: %d scenarios OK (seeds %d..%d)\n", len(jobs), c.Seed, c.Seed+uint64(c.Seeds)-1)
+	fmt.Fprintf(w.out, "ghost-check: %d scenarios OK (seeds %d..%d)\n", len(jobs), c.Seed, c.Seed+uint64(c.Seeds)-1)
 	return 0
 }
 
@@ -130,40 +141,40 @@ func realMain() int {
 // violation, reporting how many events the rewind replayed versus
 // skipped. The rewind checkpoint is written to a .snap file so a later
 // `-restore FILE` resumes from it directly.
-func reproWithRewind(s check.Scenario, every sim.Duration) int {
+func (w report) reproWithRewind(s check.Scenario, every sim.Duration) int {
 	if ok, why := s.SnapshotCapable(); !ok {
-		fmt.Fprintf(os.Stderr, "ghost-check: scenario is not snapshot-capable (%s); running without checkpoints\n", why)
-		return reportScenario(s.Run())
+		fmt.Fprintf(w.err, "ghost-check: scenario is not snapshot-capable (%s); running without checkpoints\n", why)
+		return w.reportScenario(s.Run())
 	}
 	cr := s.RunWithCheckpoints(every)
 	if cr.Skips > 0 {
-		fmt.Fprintf(os.Stderr, "ghost-check: %d checkpoint boundaries skipped (first: %s)\n",
+		fmt.Fprintf(w.err, "ghost-check: %d checkpoint boundaries skipped (first: %s)\n",
 			cr.Skips, cr.SkipReasons[0])
 	}
 	if !cr.Result.Failed() {
-		fmt.Printf("ghost-check: OK: %s (%d checkpoints, %d events)\n",
+		fmt.Fprintf(w.out, "ghost-check: OK: %s (%d checkpoints, %d events)\n",
 			s.Repro(), len(cr.Checkpoints), cr.FinalExecuted)
 		return 0
 	}
-	reportFailure(cr.Result, false)
+	w.reportFailure(cr.Result, false)
 	rep, err := check.Rewind(s, cr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ghost-check: rewind:", err)
+		fmt.Fprintln(w.err, "ghost-check: rewind:", err)
 		return 1
 	}
-	fmt.Printf("rewind: from checkpoint t=%v replayed %d events, skipped %d (t=0 re-run executes %d)\n",
+	fmt.Fprintf(w.out, "rewind: from checkpoint t=%v replayed %d events, skipped %d (t=0 re-run executes %d)\n",
 		rep.From, rep.Replayed, rep.Skipped, cr.FinalExecuted)
 	if rep.Result.Failed() {
-		fmt.Printf("rewind: reproduced %d violations\n", len(rep.Result.Violations))
+		fmt.Fprintf(w.out, "rewind: reproduced %d violations\n", len(rep.Result.Violations))
 	} else {
-		fmt.Printf("rewind: no violations after the checkpoint (evidence predates it; rewind from an earlier checkpoint)\n")
+		fmt.Fprintf(w.out, "rewind: no violations after the checkpoint (evidence predates it; rewind from an earlier checkpoint)\n")
 	}
 	if best := cr.CheckpointBefore(cr.Result.Violations[0].Time); best != nil {
 		file := fmt.Sprintf("ghost-check-rewind-seed%d.snap", s.Seed)
 		if err := writeImage(file, best.Img); err != nil {
-			fmt.Fprintln(os.Stderr, "ghost-check:", err)
+			fmt.Fprintln(w.err, "ghost-check:", err)
 		} else {
-			fmt.Printf("rewind: checkpoint saved to %s; resume it with\n  ghost-check -repro %q -restore %s\n",
+			fmt.Fprintf(w.out, "rewind: checkpoint saved to %s; resume it with\n  ghost-check -repro %q -restore %s\n",
 				file, s.Repro(), file)
 		}
 	}
@@ -172,26 +183,26 @@ func reproWithRewind(s check.Scenario, every sim.Duration) int {
 
 // reproFromFile rewinds a repro scenario from an on-disk checkpoint
 // written by an earlier -snapshot-every run.
-func reproFromFile(s check.Scenario, file string) int {
+func (w report) reproFromFile(s check.Scenario, file string) int {
 	f, err := os.Open(file)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ghost-check:", err)
+		fmt.Fprintln(w.err, "ghost-check:", err)
 		return 2
 	}
 	img, err := snap.Decode(f)
 	f.Close()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ghost-check: %s: %v\n", file, err)
+		fmt.Fprintf(w.err, "ghost-check: %s: %v\n", file, err)
 		return 2
 	}
 	rep, err := check.RewindFrom(s, img)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ghost-check:", err)
+		fmt.Fprintln(w.err, "ghost-check:", err)
 		return 2
 	}
-	fmt.Printf("rewind: from %s (t=%v) replayed %d events, skipped %d\n",
+	fmt.Fprintf(w.out, "rewind: from %s (t=%v) replayed %d events, skipped %d\n",
 		file, rep.From, rep.Replayed, rep.Skipped)
-	return reportScenario(rep.Result)
+	return w.reportScenario(rep.Result)
 }
 
 // writeImage encodes a checkpoint image to a .snap file.
@@ -207,6 +218,9 @@ func writeImage(file string, img *snap.Image) error {
 	return f.Close()
 }
 
+// report carries the command's output streams to the reporting helpers.
+type report struct{ out, err io.Writer }
+
 func contains(xs []string, x string) bool {
 	for _, v := range xs {
 		if v == x {
@@ -217,31 +231,31 @@ func contains(xs []string, x string) bool {
 }
 
 // reportScenario prints one result and returns the exit status.
-func reportScenario(res *check.Result) int {
+func (w report) reportScenario(res *check.Result) int {
 	if !res.Failed() {
-		fmt.Printf("ghost-check: OK: %s\n", res.Scenario.Repro())
+		fmt.Fprintf(w.out, "ghost-check: OK: %s\n", res.Scenario.Repro())
 		return 0
 	}
-	reportFailure(res, false)
+	w.reportFailure(res, false)
 	return 1
 }
 
 // reportFailure prints a failing scenario's violations and, when asked,
 // shrinks it to a minimal repro.
-func reportFailure(res *check.Result, shrink bool) {
-	fmt.Printf("\nFAIL %s\n", res.Scenario.Repro())
+func (w report) reportFailure(res *check.Result, shrink bool) {
+	fmt.Fprintf(w.out, "\nFAIL %s\n", res.Scenario.Repro())
 	for _, v := range res.Violations {
-		fmt.Printf("  %s\n", v)
+		fmt.Fprintf(w.out, "  %s\n", v)
 	}
 	if !shrink {
 		return
 	}
-	fmt.Printf("shrinking...\n")
+	fmt.Fprintf(w.out, "shrinking...\n")
 	small, sres := check.Shrink(res.Scenario)
-	fmt.Printf("minimal repro (%d violations, %d threads, %d fault ops):\n",
+	fmt.Fprintf(w.out, "minimal repro (%d violations, %d threads, %d fault ops):\n",
 		len(sres.Violations), small.Threads, small.FaultOps())
-	fmt.Printf("  ghost-check -repro %q\n", small.Repro())
+	fmt.Fprintf(w.out, "  ghost-check -repro %q\n", small.Repro())
 	for _, v := range sres.Violations {
-		fmt.Printf("  %s\n", v)
+		fmt.Fprintf(w.out, "  %s\n", v)
 	}
 }
