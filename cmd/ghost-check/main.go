@@ -1,8 +1,9 @@
 // Command ghost-check is the property-based invariant checker for the
 // ghOSt protocol: it generates seed-deterministic random scenarios
-// (policies, thread mixes, topologies, fault plans), runs each one with
-// the internal/check oracles attached, and on a violation shrinks the
-// scenario to a minimal repro.
+// (policies, thread mixes, topologies, fault plans), runs each one on a
+// ghost.Machine with the internal/check oracles attached
+// (internal/check/scenario), and on a violation shrinks the scenario to
+// a minimal repro.
 //
 // Usage:
 //
@@ -22,11 +23,11 @@ import (
 	"os"
 	"strings"
 
-	"ghost/internal/check"
+	"ghost"
+	"ghost/internal/check/scenario"
 	"ghost/internal/cli"
 	"ghost/internal/experiments"
 	"ghost/internal/sim"
-	"ghost/internal/snap"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -40,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		c        cli.Common
 		repro    = fs.String("repro", "", `run one scenario from a repro string, e.g. "seed=7 policy=shinjuku cpus=4 threads=6 horizon=20.000ms"`)
-		mutate   = fs.String("mutate", "", "seed an intentional protocol bug: "+strings.Join(check.MutationNames(), ", "))
+		mutate   = fs.String("mutate", "", "seed an intentional protocol bug: "+strings.Join(scenario.MutationNames(), ", "))
 		noShrink = fs.Bool("noshrink", false, "report the first failing scenario without shrinking it")
 		verbose  = fs.Bool("v", false, "print every scenario as it is checked")
 	)
@@ -63,9 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *mutate != "" && !contains(check.MutationNames(), *mutate) {
+	if *mutate != "" && !contains(scenario.MutationNames(), *mutate) {
 		fmt.Fprintf(w.err, "ghost-check: unknown mutation %q (want one of %s)\n",
-			*mutate, strings.Join(check.MutationNames(), ", "))
+			*mutate, strings.Join(scenario.MutationNames(), ", "))
 		return 2
 	}
 
@@ -77,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	if *repro != "" {
-		s, err := check.ParseRepro(*repro)
+		s, err := scenario.ParseRepro(*repro)
 		if err != nil {
 			fmt.Fprintln(w.err, "ghost-check:", err)
 			return 2
@@ -96,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	jobs := make([]experiments.Job, c.Seeds)
 	for i := range jobs {
-		s := check.Generate(c.Seed + uint64(i))
+		s := scenario.Generate(c.Seed + uint64(i))
 		if c.Quick {
 			if s.Horizon /= 2; s.Horizon < 5*sim.Millisecond {
 				s.Horizon = 5 * sim.Millisecond
@@ -113,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	failures := 0
 	for _, r := range results {
-		res := r.(*check.Result)
+		res := r.(*scenario.Result)
 		if *verbose {
 			fmt.Fprintf(w.out, "checked %s: %d violations\n", res.Scenario.Repro(), len(res.Violations))
 		}
@@ -141,15 +142,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 // violation, reporting how many events the rewind replayed versus
 // skipped. The rewind checkpoint is written to a .snap file so a later
 // `-restore FILE` resumes from it directly.
-func (w report) reproWithRewind(s check.Scenario, every sim.Duration) int {
+func (w report) reproWithRewind(s scenario.Scenario, every sim.Duration) int {
 	if ok, why := s.SnapshotCapable(); !ok {
 		fmt.Fprintf(w.err, "ghost-check: scenario is not snapshot-capable (%s); running without checkpoints\n", why)
 		return w.reportScenario(s.Run())
 	}
 	cr := s.RunWithCheckpoints(every)
-	if cr.Skips > 0 {
-		fmt.Fprintf(w.err, "ghost-check: %d checkpoint boundaries skipped (first: %s)\n",
-			cr.Skips, cr.SkipReasons[0])
+	if n := len(cr.Skipped); n > 0 {
+		fmt.Fprintf(w.err, "ghost-check: %d checkpoint boundaries skipped (first at t=%v: the machine was outside the snapshot envelope)\n",
+			n, cr.Skipped[0])
 	}
 	if !cr.Result.Failed() {
 		fmt.Fprintf(w.out, "ghost-check: OK: %s (%d checkpoints, %d events)\n",
@@ -157,7 +158,7 @@ func (w report) reproWithRewind(s check.Scenario, every sim.Duration) int {
 		return 0
 	}
 	w.reportFailure(cr.Result, false)
-	rep, err := check.Rewind(s, cr)
+	rep, err := scenario.Rewind(s, cr)
 	if err != nil {
 		fmt.Fprintln(w.err, "ghost-check: rewind:", err)
 		return 1
@@ -171,7 +172,7 @@ func (w report) reproWithRewind(s check.Scenario, every sim.Duration) int {
 	}
 	if best := cr.CheckpointBefore(cr.Result.Violations[0].Time); best != nil {
 		file := fmt.Sprintf("ghost-check-rewind-seed%d.snap", s.Seed)
-		if err := writeImage(file, best.Img); err != nil {
+		if err := writeSnapshot(file, best); err != nil {
 			fmt.Fprintln(w.err, "ghost-check:", err)
 		} else {
 			fmt.Fprintf(w.out, "rewind: checkpoint saved to %s; resume it with\n  ghost-check -repro %q -restore %s\n",
@@ -183,19 +184,19 @@ func (w report) reproWithRewind(s check.Scenario, every sim.Duration) int {
 
 // reproFromFile rewinds a repro scenario from an on-disk checkpoint
 // written by an earlier -snapshot-every run.
-func (w report) reproFromFile(s check.Scenario, file string) int {
+func (w report) reproFromFile(s scenario.Scenario, file string) int {
 	f, err := os.Open(file)
 	if err != nil {
 		fmt.Fprintln(w.err, "ghost-check:", err)
 		return 2
 	}
-	img, err := snap.Decode(f)
+	snapshot, err := ghost.ReadSnapshot(f)
 	f.Close()
 	if err != nil {
 		fmt.Fprintf(w.err, "ghost-check: %s: %v\n", file, err)
 		return 2
 	}
-	rep, err := check.RewindFrom(s, img)
+	rep, err := scenario.RewindFrom(s, snapshot)
 	if err != nil {
 		fmt.Fprintln(w.err, "ghost-check:", err)
 		return 2
@@ -205,13 +206,13 @@ func (w report) reproFromFile(s check.Scenario, file string) int {
 	return w.reportScenario(rep.Result)
 }
 
-// writeImage encodes a checkpoint image to a .snap file.
-func writeImage(file string, img *snap.Image) error {
+// writeSnapshot writes a checkpoint to a .snap file.
+func writeSnapshot(file string, s *ghost.Snapshot) error {
 	f, err := os.Create(file)
 	if err != nil {
 		return err
 	}
-	if err := img.Encode(f); err != nil {
+	if _, err := s.WriteTo(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -231,7 +232,7 @@ func contains(xs []string, x string) bool {
 }
 
 // reportScenario prints one result and returns the exit status.
-func (w report) reportScenario(res *check.Result) int {
+func (w report) reportScenario(res *scenario.Result) int {
 	if !res.Failed() {
 		fmt.Fprintf(w.out, "ghost-check: OK: %s\n", res.Scenario.Repro())
 		return 0
@@ -242,7 +243,7 @@ func (w report) reportScenario(res *check.Result) int {
 
 // reportFailure prints a failing scenario's violations and, when asked,
 // shrinks it to a minimal repro.
-func (w report) reportFailure(res *check.Result, shrink bool) {
+func (w report) reportFailure(res *scenario.Result, shrink bool) {
 	fmt.Fprintf(w.out, "\nFAIL %s\n", res.Scenario.Repro())
 	for _, v := range res.Violations {
 		fmt.Fprintf(w.out, "  %s\n", v)
@@ -251,7 +252,7 @@ func (w report) reportFailure(res *check.Result, shrink bool) {
 		return
 	}
 	fmt.Fprintf(w.out, "shrinking...\n")
-	small, sres := check.Shrink(res.Scenario)
+	small, sres := scenario.Shrink(res.Scenario)
 	fmt.Fprintf(w.out, "minimal repro (%d violations, %d threads, %d fault ops):\n",
 		len(sres.Violations), small.Threads, small.FaultOps())
 	fmt.Fprintf(w.out, "  ghost-check -repro %q\n", small.Repro())

@@ -1,9 +1,8 @@
-// Package check is a property-based invariant checker for the ghOSt
-// protocol (§2.3, §3.4): it generates random but seed-deterministic
-// scenarios (internal/check.Generate), attaches invariant oracles as
-// ghostcore/kernel observers checked online at event granularity, and on
-// violation shrinks the failing scenario by deterministic bisection to a
-// minimal repro runnable with `ghost-check -repro`.
+// Package check is the invariant checker for the ghOSt protocol (§2.3,
+// §3.4): it attaches invariant oracles as ghostcore/kernel observers,
+// checked online at event granularity. A machine gets them through
+// ghost.WithInvariants; the property-based scenario runner behind
+// ghost-check (internal/check/scenario) builds its machines that way.
 //
 // The oracle set (Default) covers: per-agent/per-thread sequence-number
 // monotonicity, status-word/state-machine consistency (OnCpu ⇒ exactly
@@ -158,6 +157,22 @@ func (c *Checker) Finish(now sim.Time) {
 	c.finished = true
 	for _, o := range c.oracles {
 		o.Finish(c, now)
+	}
+}
+
+// PrimeResumed seeds history-dependent oracle state from the machine's
+// current (restored) state: every message still queued in an enclave
+// ring is replayed to the oracles as an intent plus a delivery, so the
+// conservation and lost-thread ledgers see a consistent mid-stream
+// picture instead of flagging drains of messages they never saw posted.
+func (c *Checker) PrimeResumed() {
+	for _, e := range c.g.Enclaves() {
+		e.EachQueuedMessage(func(m ghostcore.Message) {
+			for _, o := range c.oracles {
+				o.MsgIntent(c, e, m.TID, m.Type)
+				o.MsgDelivered(c, e, m, false, false)
+			}
+		})
 	}
 }
 

@@ -1,4 +1,4 @@
-package check
+package check_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ghost/internal/check/scenario"
 	"ghost/internal/sim"
 )
 
@@ -14,7 +15,7 @@ import (
 // part of the protocol, not a violation of it).
 func TestCleanSeedsNoFalsePositives(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
-		s := Generate(seed)
+		s := scenario.Generate(seed)
 		res := s.Run()
 		if res.Failed() {
 			t.Errorf("seed %d (%s): unexpected violations:", seed, s.Repro())
@@ -29,7 +30,7 @@ func TestCleanSeedsNoFalsePositives(t *testing.T) {
 // on the seed.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
-		a, b := Generate(seed), Generate(seed)
+		a, b := scenario.Generate(seed), scenario.Generate(seed)
 		if a != b {
 			t.Fatalf("seed %d: Generate not deterministic:\n  %+v\n  %+v", seed, a, b)
 		}
@@ -40,7 +41,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // identical violation lists (byte-identical repro requirement).
 func TestRunDeterministic(t *testing.T) {
 	for _, seed := range []uint64{3, 7, 11} {
-		s := Generate(seed)
+		s := scenario.Generate(seed)
 		s.Mutation = "double-latch" // force activity in the violation path too
 		a, b := s.Run(), s.Run()
 		if !reflect.DeepEqual(violationStrings(a), violationStrings(b)) {
@@ -50,7 +51,7 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func violationStrings(r *Result) []string {
+func violationStrings(r *scenario.Result) []string {
 	out := make([]string, len(r.Violations))
 	for i, v := range r.Violations {
 		out[i] = v.String()
@@ -65,13 +66,13 @@ func violationStrings(r *Result) []string {
 // reproduces it); Repro no longer prints the field.
 func TestParseReproLegacyShards(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		s := Generate(seed)
+		s := scenario.Generate(seed)
 		if seed%2 == 0 {
-			s.Mutation = MutationNames()[int(seed/2)%len(MutationNames())]
+			s.Mutation = scenario.MutationNames()[int(seed/2)%len(scenario.MutationNames())]
 		}
 		for _, n := range []int{2, 4} {
 			legacy := fmt.Sprintf("%s shards=%d", s.Repro(), n)
-			got, err := ParseRepro(legacy)
+			got, err := scenario.ParseRepro(legacy)
 			if err != nil {
 				t.Fatalf("ParseRepro(%q): %v", legacy, err)
 			}
@@ -83,7 +84,7 @@ func TestParseReproLegacyShards(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ParseRepro("seed=1 policy=cfs shards=two"); err == nil {
+	if _, err := scenario.ParseRepro("seed=1 policy=cfs shards=two"); err == nil {
 		t.Fatal(`ParseRepro accepted "shards=two"`)
 	}
 }
@@ -93,12 +94,12 @@ func TestParseReproLegacyShards(t *testing.T) {
 // the same bytes.
 func TestReproRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
-		s := Generate(seed)
+		s := scenario.Generate(seed)
 		if seed%3 == 0 {
-			s.Mutation = MutationNames()[int(seed)%len(MutationNames())]
+			s.Mutation = scenario.MutationNames()[int(seed)%len(scenario.MutationNames())]
 		}
 		spec := s.Repro()
-		got, err := ParseRepro(spec)
+		got, err := scenario.ParseRepro(spec)
 		if err != nil {
 			t.Fatalf("seed %d: ParseRepro(%q): %v", seed, spec, err)
 		}
@@ -115,7 +116,7 @@ func TestReproRoundTrip(t *testing.T) {
 // cannot spell (1000500ns would print as a 1.00xms) is rendered in
 // nanoseconds, so the repro string names the same scenario.
 func TestReproExactDurations(t *testing.T) {
-	s, err := ParseRepro("seed=1 policy=shinjuku horizon=1000500ns watchdog=2500001ns")
+	s, err := scenario.ParseRepro("seed=1 policy=shinjuku horizon=1000500ns watchdog=2500001ns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestReproExactDurations(t *testing.T) {
 	if got := s.Repro(); got != want {
 		t.Fatalf("Repro() = %q, want %q", got, want)
 	}
-	if back, err := ParseRepro(s.Repro()); err != nil || back != s {
+	if back, err := scenario.ParseRepro(s.Repro()); err != nil || back != s {
 		t.Fatalf("ParseRepro(Repro()) = %+v, %v; want %+v", back, err, s)
 	}
 	s.Horizon = 25 * sim.Millisecond
@@ -149,7 +150,7 @@ func TestParseReproErrors(t *testing.T) {
 		"policy=shinjuku cpus=0",         // no machine
 		"policy=shinjuku threads=0",      // no workload
 	} {
-		if _, err := ParseRepro(bad); err == nil {
+		if _, err := scenario.ParseRepro(bad); err == nil {
 			t.Errorf("ParseRepro(%q): expected error, got nil", bad)
 		}
 	}

@@ -1,17 +1,19 @@
-package check
+package check_test
 
 import (
 	"testing"
+
+	"ghost/internal/check/scenario"
 )
 
 // findCaught scans generated ghost-policy scenarios with the given
 // seeded bug enabled until the oracles catch it.
-func findCaught(t *testing.T, mutation string, filter func(Scenario) bool) (Scenario, *Result) {
+func findCaught(t *testing.T, mutation string, filter func(scenario.Scenario) bool) (scenario.Scenario, *scenario.Result) {
 	t.Helper()
 	for seed := uint64(1); seed <= 60; seed++ {
-		s := Generate(seed)
-		if !s.ghostPolicy() {
-			continue
+		s := scenario.Generate(seed)
+		if s.Policy == "cfs" || s.Policy == "microquanta" {
+			continue // no enclave: the protocol bugs cannot fire
 		}
 		if filter != nil && !filter(s) {
 			continue
@@ -22,10 +24,10 @@ func findCaught(t *testing.T, mutation string, filter func(Scenario) bool) (Scen
 		}
 	}
 	t.Fatalf("mutation %q: no generated scenario caught the seeded bug", mutation)
-	return Scenario{}, nil
+	return scenario.Scenario{}, nil
 }
 
-func oracleNames(res *Result) map[string]bool {
+func oracleNames(res *scenario.Result) map[string]bool {
 	names := make(map[string]bool)
 	for _, v := range res.Violations {
 		names[v.Oracle] = true
@@ -37,7 +39,7 @@ func oracleNames(res *Result) map[string]bool {
 // caught by the expected oracle, the shrinker must reduce the failing
 // scenario to the acceptance bounds (≤8 threads, ≤3 fault ops), and the
 // shrunk repro must be byte-identical across reruns.
-func checkMutation(t *testing.T, mutation string, wantOracles []string, filter func(Scenario) bool) {
+func checkMutation(t *testing.T, mutation string, wantOracles []string, filter func(scenario.Scenario) bool) {
 	t.Helper()
 	s, res := findCaught(t, mutation, filter)
 	names := oracleNames(res)
@@ -52,7 +54,7 @@ func checkMutation(t *testing.T, mutation string, wantOracles []string, filter f
 			mutation, s.Repro(), wantOracles, res.Violations)
 	}
 
-	shrunk, sres := Shrink(s)
+	shrunk, sres := scenario.Shrink(s)
 	if !sres.Failed() {
 		t.Fatalf("mutation %q: shrink of %s lost the failure", mutation, s.Repro())
 	}
@@ -68,12 +70,12 @@ func checkMutation(t *testing.T, mutation string, wantOracles []string, filter f
 	// Byte-identical repro across reruns: shrinking again from the same
 	// origin must yield the same scenario, and re-running the repro must
 	// yield the same violations.
-	shrunk2, _ := Shrink(s)
+	shrunk2, _ := scenario.Shrink(s)
 	if shrunk.Repro() != shrunk2.Repro() {
 		t.Fatalf("mutation %q: shrink not deterministic:\n  %s\n  %s",
 			mutation, shrunk.Repro(), shrunk2.Repro())
 	}
-	parsed, err := ParseRepro(shrunk.Repro())
+	parsed, err := scenario.ParseRepro(shrunk.Repro())
 	if err != nil {
 		t.Fatalf("mutation %q: repro %q does not parse: %v", mutation, shrunk.Repro(), err)
 	}
@@ -107,7 +109,7 @@ func TestMutationSkipTseq(t *testing.T) {
 // masks the bug, which is exactly why the watchdog exists.
 func TestMutationDropWakeup(t *testing.T) {
 	checkMutation(t, "drop-wakeup", []string{"msg-conservation", "no-lost-thread"},
-		func(s Scenario) bool { return s.Watchdog == 0 })
+		func(s scenario.Scenario) bool { return s.Watchdog == 0 })
 }
 
 // TestMutationDoubleLatch: commits that overwrite an existing latch

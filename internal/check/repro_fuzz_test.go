@@ -1,6 +1,10 @@
-package check
+package check_test
 
-import "testing"
+import (
+	"testing"
+
+	"ghost/internal/check/scenario"
+)
 
 // FuzzParseRepro: whatever the string, ParseRepro never panics, and a
 // scenario it accepts renders to a repro string that parses back to the
@@ -20,17 +24,17 @@ func FuzzParseRepro(f *testing.F) {
 		"policy=shinjuku horizon=-5ms",
 		"policy=shinjuku watchdog=-1ms",
 		"policy=shinjuku horizon=1000500ns",
-		Generate(11).Repro(),
-		Generate(12).Repro() + " mutate=skip-tseq",
+		scenario.Generate(11).Repro(),
+		scenario.Generate(12).Repro() + " mutate=skip-tseq",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		s, err := ParseRepro(spec)
+		s, err := scenario.ParseRepro(spec)
 		if err != nil {
 			return
 		}
-		back, err := ParseRepro(s.Repro())
+		back, err := scenario.ParseRepro(s.Repro())
 		if err != nil {
 			t.Fatalf("ParseRepro(%q) accepted, but its Repro %q fails: %v", spec, s.Repro(), err)
 		}

@@ -1,8 +1,10 @@
-package check
+package check_test
 
 import (
 	"reflect"
 	"testing"
+
+	"ghost/internal/check/scenario"
 )
 
 // The directed time-travel regression: a snapshot-capable scenario with a
@@ -10,7 +12,7 @@ import (
 // chunked with checkpoints, and (b) reproduce the failure from a rewind
 // that replays strictly fewer events than a from-scratch re-run.
 func TestRewindReproducesViolation(t *testing.T) {
-	s := Generate(3)
+	s := scenario.Generate(3)
 	if ok, why := s.SnapshotCapable(); !ok {
 		t.Fatalf("seed 3 fell outside the snapshot envelope (%s); pick a new directed seed", why)
 	}
@@ -20,8 +22,8 @@ func TestRewindReproducesViolation(t *testing.T) {
 	if !cr.Result.Failed() {
 		t.Fatal("mutated scenario did not fail; the directed case has rotted")
 	}
-	if cr.Skips > 0 {
-		t.Fatalf("checkpoint skips on a capable scenario: %v", cr.SkipReasons)
+	if len(cr.Skipped) > 0 {
+		t.Fatalf("checkpoint boundaries skipped on a capable scenario: %v", cr.Skipped)
 	}
 	if len(cr.Checkpoints) == 0 {
 		t.Fatal("no checkpoints taken")
@@ -34,7 +36,7 @@ func TestRewindReproducesViolation(t *testing.T) {
 			plain.Violations, cr.Result.Violations)
 	}
 
-	rep, err := Rewind(s, cr)
+	rep, err := scenario.Rewind(s, cr)
 	if err != nil {
 		t.Fatalf("rewind: %v", err)
 	}
@@ -60,32 +62,32 @@ func TestRewindReproducesViolation(t *testing.T) {
 // A healthy capable scenario takes its checkpoints with zero skips and
 // reports nothing to rewind from.
 func TestCheckpointsOnPassingRun(t *testing.T) {
-	s := Generate(3)
+	s := scenario.Generate(3)
 	cr := s.RunWithCheckpoints(s.Horizon / 4)
 	if cr.Result.Failed() {
 		t.Fatalf("unmutated seed 3 failed: %v", cr.Result.Violations)
 	}
-	if cr.Skips > 0 {
-		t.Fatalf("skips on a capable scenario: %v", cr.SkipReasons)
+	if len(cr.Skipped) > 0 {
+		t.Fatalf("skips on a capable scenario: %v", cr.Skipped)
 	}
 	if want := 3; len(cr.Checkpoints) != want {
 		t.Fatalf("got %d checkpoints, want %d", len(cr.Checkpoints), want)
 	}
-	if _, err := Rewind(s, cr); err == nil {
+	if _, err := scenario.Rewind(s, cr); err == nil {
 		t.Fatal("Rewind on a passing run should error")
 	}
 }
 
 func TestSnapshotCapableGates(t *testing.T) {
-	s := Scenario{Policy: "central-fifo", FaultSpec: "crash@1ms"}
+	s := scenario.Scenario{Policy: "central-fifo", FaultSpec: "crash@1ms"}
 	if ok, why := s.SnapshotCapable(); ok || why == "" {
 		t.Fatal("fault-injecting scenario must be snapshot-incapable with a reason")
 	}
-	s = Scenario{Policy: "search"}
+	s = scenario.Scenario{Policy: "search"}
 	if ok, why := s.SnapshotCapable(); ok || why == "" {
 		t.Fatal("search policy must be snapshot-incapable with a reason")
 	}
-	s = Scenario{Policy: "central-fifo"}
+	s = scenario.Scenario{Policy: "central-fifo"}
 	if ok, why := s.SnapshotCapable(); !ok || why != "" {
 		t.Fatalf("plain central-fifo should be capable, got %v %q", ok, why)
 	}

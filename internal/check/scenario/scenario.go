@@ -1,17 +1,22 @@
-package check
+// Package scenario is the property-based scenario runner behind
+// ghost-check: it generates random but seed-deterministic scenarios
+// (Generate), runs each on a machine built through the ghost facade with
+// the internal/check oracles attached (ghost.WithInvariants), shrinks a
+// failing scenario by deterministic bisection to a minimal repro
+// runnable with `ghost-check -repro`, and rewinds one from a checkpoint
+// through ghost.Restore.
+package scenario
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
-	"ghost/internal/agentsdk"
+	"ghost"
+	"ghost/internal/check"
 	"ghost/internal/faults"
-	"ghost/internal/ghostcore"
-	"ghost/internal/hw"
-	"ghost/internal/kernel"
-	"ghost/internal/policies"
 	"ghost/internal/sim"
 )
 
@@ -125,20 +130,20 @@ func (s Scenario) FaultOps() int {
 func (s Scenario) newPolicy() any {
 	switch s.Policy {
 	case "central-fifo":
-		return policies.NewCentralFIFO()
+		return ghost.NewFIFOPolicy()
 	case "shinjuku":
-		return policies.NewShinjuku()
+		return ghost.NewShinjukuPolicy()
 	case "search":
-		return policies.NewSearch()
+		return ghost.NewSearchPolicy()
 	case "coresched":
-		return policies.NewCoreSched(func(t *kernel.Thread) int {
+		return ghost.NewCoreSchedPolicy(func(t *ghost.Thread) int {
 			if vm, ok := t.Tag.(int); ok {
 				return vm
 			}
 			return -1
 		})
 	case "percpu-fifo":
-		return policies.NewPerCPUFIFO()
+		return ghost.NewPerCPUFIFOPolicy()
 	}
 	panic("check: no policy " + s.Policy)
 }
@@ -146,133 +151,113 @@ func (s Scenario) newPolicy() any {
 // Result is the outcome of running a scenario under the oracles.
 type Result struct {
 	Scenario   Scenario
-	Violations []Violation
+	Violations []check.Violation
 }
 
 // Failed reports whether any invariant was violated.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
-// rig is one constructed scenario machine, with every handle the
-// checkpoint/rewind machinery needs (scenario.Run keeps none of this).
-type rig struct {
-	topo *hw.Topology
-	cm   hw.CostModel
-
-	eng *sim.Engine
-	k   *kernel.Kernel
-	ac  *kernel.AgentClass
-	mq  *kernel.MicroQuanta
-	cfs *kernel.CFS
-	g   *ghostcore.Class
-}
-
-// buildShell constructs the scenario's machine skeleton — topology,
-// engine, kernel, scheduling classes, seeded mutation — with no
-// checker, enclaves or threads yet. Both the forward run and a snapshot
-// restore start from this exact shell.
-func (s Scenario) buildShell() *rig {
+// build constructs the scenario's machine through the facade — the same
+// NewMachine/WithInvariants path every other caller uses — with the
+// seeded mutation applied and the enclave, agents and workload spawned.
+// Every thread body is a registered kind, so fault-free scenarios are
+// snapshot-capable.
+func (s Scenario) build(opts ...ghost.MachineOption) *ghost.Machine {
 	if s.CPUs < 2 {
 		s.CPUs = 2
 	}
-	rg := &rig{cm: hw.DefaultCostModel()}
-	rg.topo = hw.NewTopology(hw.Config{
+	topo := ghost.NewTopology(ghost.TopologyConfig{
 		Name: "check", Sockets: 1, CCXsPerSocket: 1,
 		CoresPerCCX: s.CPUs / 2, SMTWidth: 2,
 	})
-	rg.eng = sim.NewEngine()
-	rg.k = kernel.New(rg.eng, rg.topo, rg.cm)
-	rg.ac = kernel.NewAgentClass(rg.k)
-	rg.mq = kernel.NewMicroQuanta(rg.k)
-	rg.cfs = kernel.NewCFS(rg.k)
-	rg.g = ghostcore.NewClass(rg.k, rg.cfs)
-	applyMutation(rg.g, s.Mutation)
-	return rg
-}
+	m := ghost.NewMachine(topo, append([]ghost.MachineOption{ghost.WithoutMetrics(), ghost.WithInvariants()}, opts...)...)
+	applyMutation(m.Ghost, s.Mutation)
+	s.setLostThreshold(m.Invariants())
 
-// attach wires a fresh Checker (Default oracles plus test extras) onto
-// the rig. Called before populate on a forward run, and after snap.Load
-// on a rewind — oracles must never observe construction-time noise that
-// a restore overlay erases.
-func (s Scenario) attach(rg *rig) *Checker {
-	ck := Attach(rg.k, rg.g, append(Default(), testExtraOracles...)...)
-	if th := s.Horizon / 2; th > ck.LostThreshold {
-		ck.LostThreshold = th
-	}
-	return ck
-}
-
-// populate spawns the scenario's enclave, agents and workload onto the
-// shell, returning the started agent sets (the snapshot walk needs
-// them). Every thread body carries a descriptor, so fault-free scenarios
-// are snapshot-capable.
-func (s Scenario) populate(rg *rig) []*agentsdk.AgentSet {
 	r := sim.NewRand(s.Seed ^ 0x9E3779B97F4A7C15) // runtime stream, distinct from Generate's
 	nVMs := 2 + r.Intn(3)
 
-	var sets []*agentsdk.AgentSet
-	var enc *ghostcore.Enclave
+	var enc *ghost.Enclave
 	if s.ghostPolicy() {
-		enc = ghostcore.NewEnclave(rg.g, kernel.MaskAll(s.CPUs))
+		var eopts []ghost.EnclaveOption
 		if s.Watchdog > 0 {
-			enc.EnableWatchdog(s.Watchdog)
+			eopts = append(eopts, ghost.WithWatchdog(s.Watchdog))
 		}
+		enc = m.NewEnclave(ghost.MaskAll(s.CPUs), eopts...)
 		if s.FaultSpec != "" {
+			// The injector posts its events when built: after the enclave
+			// and watchdog, before the agents (so not via ghost.WithFaults).
 			plan, err := faults.ParsePlan(s.FaultSpec, s.Seed)
 			if err != nil {
 				panic(fmt.Sprintf("check: bad fault spec %q: %v", s.FaultSpec, err))
 			}
-			rg.k.SetFaults(faults.NewInjector(rg.eng, plan))
+			k := m.Kernel()
+			k.SetFaults(faults.NewInjector(k.Scheduler(), plan))
 		}
-		opts := []agentsdk.Option{
-			agentsdk.WithUpgradePolicy(func() any { return s.newPolicy() }),
-		}
-		sets = append(sets, agentsdk.Start(rg.k, enc, rg.ac, s.newPolicy(), opts...))
+		m.StartAgents(enc, s.newPolicy(), ghost.WithUpgradePolicy(func() any { return s.newPolicy() }))
 	}
 
 	// Workload: each thread runs short bursts and sleeps/yields, driven
-	// by its own forked random stream.
+	// by its own random stream (seeded as r.Fork would).
 	for i := 0; i < s.Threads; i++ {
-		wr := r.Fork()
+		seed := r.Uint64()
 		burst := 5 + r.Intn(96)
-		body := workerBody(wr, burst, false)
-		so := kernel.SpawnOpts{Name: fmt.Sprintf("w%d", i)}
-		var th *kernel.Thread
-		switch {
-		case s.Policy == "cfs":
-			so.Class = rg.cfs
-			th = rg.k.Spawn(so, body)
-		case s.Policy == "microquanta":
-			so.Class = rg.mq
-			th = rg.k.Spawn(so, body)
+		o := ghost.ThreadOpts{Name: fmt.Sprintf("w%d", i)}
+		switch s.Policy {
+		case "cfs": // the zero Class
+		case "microquanta":
+			o.Class = ghost.MicroQuanta
 		default:
+			o.Class = ghost.Ghost(enc)
 			if s.Policy == "coresched" {
-				so.Tag = i % nVMs
+				o.Tag = i % nVMs
 			}
-			th = enc.SpawnThread(so, body)
 		}
-		th.SetBodyDesc(&kernel.BodyDesc{Kind: "check.worker", Args: []int64{int64(burst)}, Rand: wr})
+		spawnBody(m, o, "check.worker", seed, int64(burst))
 	}
 	// CFS noise threads compete with the enclave for CPUs (§3.4: any CFS
 	// thread preempts ghOSt), exercising the cpu-taken install paths.
 	for i := 0; i < 1+r.Intn(2); i++ {
-		nr := r.Fork()
-		th := rg.k.Spawn(kernel.SpawnOpts{Name: fmt.Sprintf("noise%d", i), Class: rg.cfs},
-			noiseBody(nr, false))
-		th.SetBodyDesc(&kernel.BodyDesc{Kind: "check.noise", Rand: nr})
+		spawnBody(m, ghost.ThreadOpts{Name: fmt.Sprintf("noise%d", i)}, "check.noise", r.Uint64())
 	}
-	return sets
+	return m
+}
+
+// setLostThreshold widens the no-lost-thread threshold to half the horizon.
+func (s Scenario) setLostThreshold(ck *check.Checker) {
+	if th := s.Horizon / 2; th > ck.LostThreshold {
+		ck.LostThreshold = th
+	}
+}
+
+func spawnBody(m *ghost.Machine, o ghost.ThreadOpts, kind string, seed uint64, args ...int64) {
+	if _, err := m.SpawnBody(o, kind, seed, args...); err != nil {
+		panic("check: " + err.Error())
+	}
 }
 
 // Run executes the scenario under the Default oracle set and returns the
 // collected violations. The run is fully deterministic in the scenario.
 func (s Scenario) Run() *Result {
-	rg := s.buildShell()
-	ck := s.attach(rg)
-	s.populate(rg)
-	rg.eng.RunFor(s.Horizon)
-	ck.Finish(rg.eng.Now())
-	rg.k.Shutdown()
-	return &Result{Scenario: s, Violations: ck.Violations()}
+	m := s.build()
+	m.Run(s.Horizon)
+	m.Shutdown()
+	return &Result{Scenario: s, Violations: m.Invariants().Violations()}
+}
+
+func init() {
+	ghost.RegisterBody("check.worker", func(_ *ghost.Machine, args []int64, r *ghost.Rand, res ghost.BodyResume) (ghost.ThreadFunc, error) {
+		if len(args) != 1 || r == nil {
+			return nil, fmt.Errorf("check.worker wants 1 arg and a random stream, got %d args", len(args))
+		}
+		return workerBody(r, int(args[0]), res.InRun), nil
+	})
+	ghost.RegisterBody("check.noise", func(_ *ghost.Machine, _ []int64, r *ghost.Rand, res ghost.BodyResume) (ghost.ThreadFunc, error) {
+		if r == nil {
+			return nil, errors.New("check.noise wants a random stream")
+		}
+		return noiseBody(r, res.InRun), nil
+	})
 }
 
 // loopBody is a resumable two-step loop: issue a burst, then park, then
@@ -281,12 +266,12 @@ func (s Scenario) Run() *Result {
 // resume point that uses it.
 type loopBody struct {
 	r     *sim.Rand
-	burst func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op
-	park  func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op
+	burst func(tc *ghost.Task, r *sim.Rand) ghost.Op
+	park  func(tc *ghost.Task, r *sim.Rand) ghost.Op
 	inRun bool
 }
 
-func (b *loopBody) resume(tc *kernel.TaskContext) kernel.Op {
+func (b *loopBody) resume(tc *ghost.Task) ghost.Op {
 	if b.inRun {
 		b.inRun = false
 		return b.park(tc, b.r)
@@ -299,9 +284,9 @@ func (b *loopBody) resume(tc *kernel.TaskContext) kernel.Op {
 // the service time in microseconds. inRun rebuilds a worker that a
 // snapshot caught in its burst (the overlay restores the remaining
 // service time; a sleep's wake-up is re-filed as a pending event).
-func workerBody(r *sim.Rand, maxBurstUS int, inRun bool) kernel.ThreadFunc {
+func workerBody(r *sim.Rand, maxBurstUS int, inRun bool) ghost.ThreadFunc {
 	b := &loopBody{r: r, inRun: inRun, park: workerPark,
-		burst: func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
+		burst: func(tc *ghost.Task, r *sim.Rand) ghost.Op {
 			return tc.Run(sim.Duration(1+r.Intn(maxBurstUS)) * sim.Microsecond)
 		}}
 	return b.resume
@@ -309,7 +294,7 @@ func workerBody(r *sim.Rand, maxBurstUS int, inRun bool) kernel.ThreadFunc {
 
 // workerPark is the tail of one worker iteration: the branch draw and
 // the park (or yield) it selects.
-func workerPark(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
+func workerPark(tc *ghost.Task, r *sim.Rand) ghost.Op {
 	switch r.Intn(4) {
 	case 0, 1:
 		return tc.Sleep(sim.Duration(20+r.Intn(200)) * sim.Microsecond)
@@ -322,18 +307,18 @@ func workerPark(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
 
 // noiseBody keeps CFS load light (short bursts, long sleeps) so the
 // enclave is perturbed but never starved. inRun is as for workerBody.
-func noiseBody(r *sim.Rand, inRun bool) kernel.ThreadFunc {
+func noiseBody(r *sim.Rand, inRun bool) ghost.ThreadFunc {
 	b := &loopBody{r: r, inRun: inRun,
-		burst: func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
+		burst: func(tc *ghost.Task, r *sim.Rand) ghost.Op {
 			return tc.Run(sim.Duration(5+r.Intn(45)) * sim.Microsecond)
 		},
-		park: func(tc *kernel.TaskContext, r *sim.Rand) kernel.Op {
+		park: func(tc *ghost.Task, r *sim.Rand) ghost.Op {
 			return tc.Sleep(sim.Duration(200+r.Intn(800)) * sim.Microsecond)
 		}}
 	return b.resume
 }
 
-func applyMutation(g *ghostcore.Class, name string) {
+func applyMutation(g *ghost.GhostClass, name string) {
 	switch name {
 	case "":
 	case "skip-tseq":
@@ -462,7 +447,3 @@ func parseDur(s string) (sim.Duration, error) {
 	}
 	return sim.Duration(d.Nanoseconds()), nil
 }
-
-// testExtraOracles is appended to the Default set by Run; tests use it
-// to instrument scenarios.
-var testExtraOracles []Oracle

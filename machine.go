@@ -111,6 +111,11 @@ func WithInvariants(oracles ...InvariantOracle) MachineOption {
 // metrics (Machine.Metrics); add WithTrace to also record a
 // Perfetto-loadable event trace.
 func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
+	return newMachine(topo, configure(opts))
+}
+
+// configure applies opts over the defaults.
+func configure(opts []MachineOption) machineConfig {
 	cfg := machineConfig{
 		cost:   hw.DefaultCostModel(),
 		tracer: trace.NewMetricsOnly(),
@@ -118,6 +123,10 @@ func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	return cfg
+}
+
+func newMachine(topo *Topology, cfg machineConfig) *Machine {
 	m := &Machine{eng: sim.NewEngine(), tr: cfg.tracer}
 	k := kernel.New(m.eng, topo, cfg.cost)
 	m.k = k

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"ghost/internal/agentsdk"
+	"ghost/internal/check"
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/policies"
@@ -174,7 +175,9 @@ func WithRestoredComponent(key string, f func(m *Machine) (SnapshotComponent, er
 // come from the snapshot itself; the remaining options
 // (WithTrace, WithInvariants, WithRestoredComponent, ...) apply to the
 // new machine. The restored machine's forward behavior is byte-identical
-// to the original's from the snapshot point.
+// to the original's from the snapshot point. WithInvariants oracles
+// attach after the state overlay, primed with the messages still
+// queued, so they never see the re-spawn noise the overlay erases.
 func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	core := s.img.Core
 	topo := hw.NewTopology(core.Topology)
@@ -182,12 +185,10 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	if core.Kernel != nil && core.Kernel.MQ == nil {
 		base = append(base, WithoutMicroQuanta())
 	}
-	all := append(base, opts...)
-	var cfg machineConfig
-	for _, o := range all {
-		o(&cfg)
-	}
-	m := NewMachine(topo, all...)
+	cfg := configure(append(base, opts...))
+	oracles := cfg.oracles
+	cfg.oracles = nil
+	m := newMachine(topo, cfg)
 	lo := snap.LoadOpts{
 		UserData: m,
 		// Mirror each rebuilt component onto the machine immediately, so a
@@ -223,6 +224,10 @@ func Restore(s *Snapshot, opts ...MachineOption) (*Machine, error) {
 	}
 	m.sets = res.Sets
 	m.comps = res.Components
+	if len(oracles) > 0 {
+		m.inv = check.Attach(m.k, m.Ghost, oracles...)
+		m.inv.PrimeResumed()
+	}
 	return m, nil
 }
 

@@ -337,6 +337,36 @@ func TestWithSnapshotEvery(t *testing.T) {
 	}
 }
 
+// TestRestoreWithInvariantsClean: WithInvariants oracles on a restored
+// machine attach after the state overlay, so the re-spawn noise the
+// overlay erases never reaches them, and a run that is clean from t=0
+// stays clean across a restore.
+func TestRestoreWithInvariantsClean(t *testing.T) {
+	ref := buildServing(ghost.WithInvariants())
+	ref.Run(4 * ghost.Millisecond)
+	ref.Shutdown()
+	if v := ref.Invariants().Violations(); len(v) != 0 {
+		t.Fatalf("uninterrupted run reported %d violations, first %v", len(v), v[0])
+	}
+
+	m := buildServing()
+	m.Run(2 * ghost.Millisecond)
+	s, err := m.Snapshot()
+	m.Shutdown()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	restored, err := ghost.Restore(s, append(servingRestoreOpts(), ghost.WithInvariants())...)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	restored.Run(2 * ghost.Millisecond)
+	restored.Shutdown()
+	for _, v := range restored.Invariants().Violations() {
+		t.Errorf("restored run: %v", v)
+	}
+}
+
 // BenchmarkSnapshotRoundTrip measures the checkpoint cycle on a warmed
 // serving machine: Snapshot (quiescent-barrier walk), Encode to the wire
 // format, Decode, and Restore into a runnable machine. snap-bytes
