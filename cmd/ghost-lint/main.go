@@ -14,7 +14,8 @@
 //	                in exported signatures (aliases/re-exports are exempt)
 //	hotpathescape — (with -escape) compiler-reported heap escapes reachable
 //	                from the 0-alloc benchmark roots must be in the
-//	                committed baseline (internal/analysis/escape_baseline.txt)
+//	                committed baseline (internal/analysis/escape_baseline.txt),
+//	                and every baseline key must still match one
 //
 // Usage:
 //

@@ -20,9 +20,10 @@ import (
 // compiler's own escape analysis (`go build -gcflags=-m=2`) and flags
 // any heap escape in a function transitively reachable from the 0-alloc
 // benchmark roots that is not recorded in the committed baseline
-// (internal/analysis/escape_baseline.txt). The hotpathalloc check
-// catches the syntactic allocation idioms (closures, method values,
-// appends) on those paths; this one catches what only the compiler
+// (internal/analysis/escape_baseline.txt), and any baseline key that no
+// such escape matches any more. The hotpathalloc check catches the
+// syntactic allocation idioms (closures, method values, appends) on
+// those paths; this one catches what only the compiler
 // knows — a parameter that started escaping because a callee changed,
 // an interface conversion that began allocating — anywhere in the
 // transitive call tree.
@@ -34,7 +35,7 @@ import (
 // do not churn it.
 var HotPathEscapeAnalyzer = &Analyzer{
 	Name:       "hotpathescape",
-	Doc:        "flags compiler-reported heap escapes newly reachable from the 0-alloc benchmark roots",
+	Doc:        "flags compiler-reported heap escapes newly reachable from the 0-alloc benchmark roots, and stale baseline keys",
 	RunProgram: runHotPathEscape,
 	NeedsBuild: true,
 }
@@ -218,7 +219,9 @@ func runHotPathEscape(p *ProgramPass) {
 		return // driver did not gather build diagnostics (-escape off)
 	}
 	baseline := p.Prog.EscapeBaseline
+	current := map[string]bool{}
 	for _, f := range hotPathEscapes(p.Prog) {
+		current[f.key] = true
 		if baseline[f.key] {
 			continue
 		}
@@ -230,6 +233,33 @@ func runHotPathEscape(p *ProgramPass) {
 			"new heap escape on a 0-alloc benchmark path: %s in %s%s (intentional? ghost-lint -escape-update)",
 			f.msg, f.node.Label, via)
 	}
+	// A key no hot-path escape matches any more would let a new escape
+	// at that site pass unseen. Only keys in loaded packages are judged:
+	// a partial load cannot tell whether the others still hold.
+	var stale []string
+	for key := range baseline {
+		if !current[key] && inLoadedPackage(key, p.Prog.Pkgs) {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		p.ReportAt(token.Position{Filename: EscapeBaselinePath},
+			"stale baseline key: no hot-path escape matches %q any more (ghost-lint -escape-update)", key)
+	}
+}
+
+// inLoadedPackage reports whether the function a baseline key names
+// ("(*pkg.T).m: message" or "pkg.f: message") is in one of pkgs.
+func inLoadedPackage(key string, pkgs []*Package) bool {
+	fn, _, _ := strings.Cut(key, ": ")
+	fn = strings.TrimLeft(fn, "(*")
+	for _, pkg := range pkgs {
+		if strings.HasPrefix(fn, pkg.ImportPath+".") {
+			return true
+		}
+	}
+	return false
 }
 
 // recvTypeName returns the bare receiver type name of a method, "" for

@@ -102,6 +102,40 @@ func TestHotPathEscapeFixture(t *testing.T) {
 	}
 }
 
+// TestHotPathEscapeStaleBaseline: a baseline key that no hot-path
+// escape matches is reported — the escape left the hot path (Cold) or
+// the code that had it is gone — unless its package was not loaded.
+func TestHotPathEscapeStaleBaseline(t *testing.T) {
+	pkg, err := sharedLoader().LoadDir(filepath.Join("testdata", "hotpathescape"), "fixturemod/internal/sim/esfix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	escapes := fixtureEscapes(pkg)
+	live := EscapeKeys(&Program{Pkgs: []*Package{pkg}, Escapes: escapes})
+	if len(live) != 1 {
+		t.Fatalf("EscapeKeys = %v", live)
+	}
+	baseline := map[string]bool{
+		live[0]: true,
+		"fixturemod/internal/sim/esfix.Cold: &Event{} escapes to heap":                true,
+		"(*fixturemod/internal/sim/esfix.Engine).shrink: &Event{} escapes to heap":    true,
+		"(*fixturemod/internal/sim/esfixother.Engine).grow: &Event{} escapes to heap": true,
+	}
+	res := RunProgram(&Program{Pkgs: []*Package{pkg}, Escapes: escapes, EscapeBaseline: baseline},
+		[]*Analyzer{HotPathEscapeAnalyzer})
+	var got []string
+	for _, d := range res.Diagnostics {
+		if d.Check != "hotpathescape" || d.Pos.Filename != EscapeBaselinePath ||
+			!strings.HasPrefix(d.Message, "stale baseline key: ") {
+			t.Errorf("unexpected diagnostic: %s", d.String(""))
+		}
+		got = append(got, d.Message)
+	}
+	if len(got) != 2 || !strings.Contains(got[0], "esfix.Engine).shrink") || !strings.Contains(got[1], "esfix.Cold") {
+		t.Fatalf("stale keys reported = %q, want the shrink and Cold keys", got)
+	}
+}
+
 // TestRealTreeEscapeBaseline compiles the module and checks the
 // committed baseline covers every current hot-path escape — the in-test
 // twin of `ghost-lint -escape ./...`.
