@@ -265,8 +265,7 @@ var NewTracer = trace.New
 // Fault injection (§3.4 robustness evaluation).
 type (
 	// FaultPlan is a seeded, deterministic schedule of injected faults;
-	// install one with WithFaults (machine level) or WithFaultPlan
-	// (agent-start level).
+	// install one with WithFaults.
 	FaultPlan = faults.Plan
 	// Fault is one scheduled fault in a plan.
 	Fault = faults.Fault

@@ -87,9 +87,9 @@ func TestUpgradeUnderLoad(t *testing.T) {
 	for i := 1; i <= nUpgrades; i++ {
 		plan.Upgrade(sim.Time(i) * sim.Time(2*sim.Millisecond))
 	}
+	e.k.SetFaults(faults.NewInjector(e.eng, plan))
 	agentsdk.Start(e.k, e.enc, e.ac, policies.NewCentralFIFO(),
 		agentsdk.Global(),
-		agentsdk.WithFaultPlan(plan),
 		agentsdk.WithUpgradePolicy(func() any { return policies.NewCentralFIFO() }))
 
 	done := 0

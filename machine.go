@@ -255,7 +255,7 @@ func (m *Machine) NewEnclave(cpus CPUMask, opts ...EnclaveOption) *Enclave {
 }
 
 // AgentOption customizes Machine.StartAgents; see Global, PerCPU,
-// WithRepoll, WithFaultPlan, and WithUpgradePolicy.
+// WithRepoll, and WithUpgradePolicy.
 type AgentOption = agentsdk.Option
 
 // Agent-start options, re-exported from the agent SDK.
@@ -266,9 +266,6 @@ var (
 	PerCPU = agentsdk.PerCPU
 	// WithRepoll re-nudges agents every period (defensive polling).
 	WithRepoll = agentsdk.WithRepoll
-	// WithFaultPlan installs a fault plan scoped to this agent set's
-	// kernel (equivalent to the machine-level WithFaults).
-	WithFaultPlan = agentsdk.WithFaultPlan
 	// WithUpgradePolicy supplies the successor-policy factory used when
 	// a forced "upgrade" fault fires (§3.4).
 	WithUpgradePolicy = agentsdk.WithUpgradePolicy
