@@ -180,33 +180,3 @@ func TestCPUTimeConservation(t *testing.T) {
 		t.Fatalf("saturated machine only %.0f%% utilized", 100*float64(total)/float64(capacity))
 	}
 }
-
-func TestUsageReport(t *testing.T) {
-	topo := hw.NewTopology(hw.Config{Name: "u", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 2, SMTWidth: 1})
-	eng := sim.NewEngine()
-	k := New(eng, topo, hw.DefaultCostModel())
-	cfs := NewCFS(k)
-	defer k.Shutdown()
-	k.Spawn(SpawnOpts{Name: "spin-a", Class: cfs, Affinity: MaskOf(0)}, sequential.Body(func(tc *sequential.Task) {
-		for {
-			tc.Run(100 * sim.Microsecond)
-		}
-	}))
-	eng.RunFor(10 * sim.Millisecond)
-	r := k.Usage()
-	if r.CPUBusy[0] < 0.95 {
-		t.Fatalf("cpu0 busy = %.2f", r.CPUBusy[0])
-	}
-	if r.CPUBusy[1] > 0.05 {
-		t.Fatalf("cpu1 busy = %.2f", r.CPUBusy[1])
-	}
-	if r.ClassTime["cfs"] < 9*sim.Millisecond {
-		t.Fatalf("cfs class time = %v", r.ClassTime["cfs"])
-	}
-	if r.Threads["spin"] == 0 {
-		t.Fatal("thread grouping missing")
-	}
-	if r.String() == "" {
-		t.Fatal("empty render")
-	}
-}

@@ -6,9 +6,9 @@ package sim
 // windows — that are armed and disarmed as state changes.
 //
 // The callback is stored on the struct and dispatched through a
-// package-level trampoline (rather than captured in a per-Arm closure) so
-// that a pending firing is serializable: snapshots record it under the
-// deadline's Key and restore re-links it via RestoreArmed.
+// package-level trampoline (rather than captured in a per-Arm closure),
+// so Arm allocates no closure and a pending firing is identifiable by
+// the deadline's Key. Snapshots refuse an armed deadline.
 type Deadline struct {
 	eng *Engine
 	fn  func()
@@ -44,10 +44,3 @@ func (d *Deadline) Cancel() { d.ev.Cancel() }
 
 // Pending reports whether a firing is scheduled.
 func (d *Deadline) Pending() bool { return d.ev.Pending() }
-
-// RestoreArmed re-links a restored pending firing and its callback
-// (restore path; the callback is reconstructed by the owning subsystem).
-func (d *Deadline) RestoreArmed(fn func(), ev Event) {
-	d.fn = fn
-	d.ev = ev
-}

@@ -221,25 +221,6 @@ func TestRandIntnBounds(t *testing.T) {
 	}
 }
 
-func TestRandNormal(t *testing.T) {
-	r := NewRand(9)
-	var sum, sumsq float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.Normal(50, 10)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if mean < 49 || mean > 51 {
-		t.Fatalf("Normal mean = %.2f, want ~50", mean)
-	}
-	if variance < 90 || variance > 110 {
-		t.Fatalf("Normal variance = %.2f, want ~100", variance)
-	}
-}
-
 func TestRandFork(t *testing.T) {
 	r := NewRand(5)
 	f1 := r.Fork()

@@ -52,18 +52,6 @@ func (r *Rand) Exp(mean Duration) Duration {
 	return d
 }
 
-// Normal returns a normally distributed float with the given mean and
-// standard deviation (Box-Muller).
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Fork derives an independent generator; useful to give each workload
 // source its own stream so adding a source does not perturb the others.
 func (r *Rand) Fork() *Rand {

@@ -125,6 +125,3 @@ func ClassifyEvent(afn func(any), arg any) (kind, key string, ok bool) {
 
 // TickerFireFn exposes the ticker dispatch callback for event restore.
 func TickerFireFn() func(any) { return tickerFire }
-
-// DeadlineFireFn exposes the deadline dispatch callback for event restore.
-func DeadlineFireFn() func(any) { return deadlineFire }

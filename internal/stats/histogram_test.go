@@ -167,23 +167,6 @@ func TestExact(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	m := NewMeter(0)
-	m.Add(sim.Second/2, 500)
-	m.Add(sim.Second, 500)
-	rate := m.Rate(sim.Second)
-	if math.Abs(rate-1000) > 1 {
-		t.Fatalf("rate = %.1f, want 1000", rate)
-	}
-	m.Reset(sim.Second)
-	if m.Count() != 0 {
-		t.Fatal("reset did not clear meter")
-	}
-	if m.Rate(sim.Second) != 0 {
-		t.Fatal("zero-window rate should be 0")
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	var ts TimeSeries
 	ts.Add(0, 2)
@@ -192,23 +175,9 @@ func TestTimeSeries(t *testing.T) {
 	if ts.Len() != 3 || ts.Mean() != 4 || ts.Max() != 6 {
 		t.Fatalf("series stats wrong: %v", ts.String())
 	}
-	n := ts.Normalized()
-	if n.Values[2] != 1.0 || n.Values[0] != 2.0/6.0 {
-		t.Fatalf("normalized wrong: %v", n.Values)
-	}
-	d := ts.NormalizedTo(2)
-	if d.Values[0] != 1 || d.Values[2] != 3 {
-		t.Fatalf("normalizedTo wrong: %v", d.Values)
-	}
 	var empty TimeSeries
 	if empty.Mean() != 0 || empty.Max() != 0 {
 		t.Fatal("empty series stats should be zero")
-	}
-	z := ts.NormalizedTo(0)
-	for _, v := range z.Values {
-		if v != 0 {
-			t.Fatal("NormalizedTo(0) should yield zeros")
-		}
 	}
 }
 
