@@ -31,7 +31,15 @@ func TestGoldenOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Chdir(t.TempDir()) // the rewind writes its checkpoint to the working directory
+	// The rewind writes its checkpoint to the working directory.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
 	if err := os.WriteFile("old-rewind-seed3.snap", oldSnap, 0o644); err != nil {
 		t.Fatal(err)
 	}
