@@ -8,6 +8,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -24,10 +25,16 @@ var update = flag.Bool("update", false, "rewrite golden trace files")
 // CPU 0 — and returns the trace JSON and final metrics.
 func scenario(t *testing.T) ([]byte, *ghost.Metrics) {
 	t.Helper()
+	return runScenario(t, ghost.WithTrace(ghost.NewTracer()))
+}
+
+// runScenario is scenario on a machine built with opts.
+func runScenario(t *testing.T, opts ...ghost.MachineOption) ([]byte, *ghost.Metrics) {
+	t.Helper()
 	topo := ghost.NewTopology(ghost.TopologyConfig{
 		Name: "tiny", Sockets: 1, CCXsPerSocket: 1, CoresPerCCX: 4, SMTWidth: 1,
 	})
-	m := ghost.NewMachine(topo, ghost.WithTrace(ghost.NewTracer()))
+	m := ghost.NewMachine(topo, opts...)
 	defer m.Shutdown()
 
 	enc := m.NewEnclave(ghost.MaskOf(1, 2, 3), ghost.WithWatchdog(50*ghost.Millisecond))
@@ -291,5 +298,85 @@ func TestDisabledTracer(t *testing.T) {
 		if e.Ph != "M" {
 			t.Fatalf("metrics-only trace contains event %+v", e)
 		}
+	}
+}
+
+// servingMetrics builds a serving machine (a centralized FIFO enclave on
+// CPUs 0-3, a worker pool fed by a Poisson source, a spinner), runs it
+// 2 ms, snapshots it, restores the snapshot and runs the restored
+// machine 2 ms more. It returns the metrics of both machines.
+func servingMetrics(t *testing.T) (before, restored *ghost.Metrics) {
+	t.Helper()
+	m := ghost.NewMachine(ghost.XeonE5())
+	defer m.Shutdown()
+	enc := m.NewEnclave(ghost.MaskOf(0, 1, 2, 3))
+	m.StartAgents(enc, ghost.NewFIFOPolicy(), ghost.Global())
+	pool := m.NewWorkerPool(3, &ghost.LatencyRecorder{}, func(name string, body ghost.ThreadFunc) *ghost.Thread {
+		return m.Spawn(ghost.ThreadOpts{Name: name, Class: ghost.Ghost(enc)}, body)
+	})
+	m.AddSnapshotComponent("pool", pool)
+	src := m.NewPoissonSource(ghost.NewRand(7), 40_000, ghost.ExponentialService(20*ghost.Microsecond),
+		func(r *ghost.Request) { pool.Submit(r) })
+	m.AddSnapshotComponent("src", src)
+	m.SpawnSpinner(ghost.ThreadOpts{Name: "spin", Class: ghost.Ghost(enc)}, 15*ghost.Microsecond)
+	m.Run(2 * ghost.Millisecond)
+
+	s, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	r, err := ghost.Restore(s, ghost.WithRestoredComponent("src", func(m *ghost.Machine) (ghost.SnapshotComponent, error) {
+		pool, ok := m.SnapshotComponent("pool").(*ghost.WorkerPool)
+		if !ok {
+			return nil, errors.New("pool not restored before src")
+		}
+		return m.NewPoissonShell(func(r *ghost.Request) { pool.Submit(r) }), nil
+	}))
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	defer r.Shutdown()
+	r.Run(2 * ghost.Millisecond)
+	return m.Metrics(), r.Metrics()
+}
+
+// TestMetricsGolden pins the Metrics report of the trace scenarios, of
+// the untraced scenario (which must count exactly what the traced one
+// counts) and of a serving machine before and after a snapshot restore,
+// so a change to where statistics are counted proves itself against
+// these bytes.
+func TestMetricsGolden(t *testing.T) {
+	_, traced := scenario(t)
+	_, untraced := runScenario(t)
+	if traced.String() != untraced.String() {
+		t.Errorf("untraced scenario metrics differ from traced:\n%s\nwant:\n%s", untraced, traced)
+	}
+	_, faulted := faultScenario(t)
+	before, restored := servingMetrics(t)
+	var b bytes.Buffer
+	for _, sec := range []struct {
+		name string
+		m    *ghost.Metrics
+	}{
+		{"scenario", traced},
+		{"faultScenario", faulted},
+		{"serving at 2ms", before},
+		{"serving restored at 2ms, run to 4ms", restored},
+	} {
+		b.WriteString("== " + sec.name + "\n")
+		b.WriteString(sec.m.String())
+	}
+	golden := filepath.Join("testdata", "metrics.golden")
+	if *update {
+		if err := os.WriteFile(golden, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run go test ./internal/trace -update): %v", err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("metrics differ from golden %s; rerun with -update if the change is intended\ngot:\n%s", golden, b.Bytes())
 	}
 }

@@ -38,7 +38,8 @@ go test -race -short ./...
 echo "== ghost-check smoke (property-based invariant scan)"
 go run ./cmd/ghost-check -quick -seeds 25 -parallel 4
 
-echo "== examples (build + quick smoke run)"
+echo "== examples (build + quick run, stdout diffed against testdata/stdout.golden)"
+ex_out=$(mktemp)
 for ex in examples/*/; do
 	name=$(basename "$ex")
 	quick=""
@@ -46,8 +47,10 @@ for ex in examples/*/; do
 	search | shinjuku | snap | tuned) quick="-quick" ;;
 	esac
 	echo "-- $name"
-	go run "./$ex" $quick >/dev/null
+	go run "./$ex" $quick >"$ex_out"
+	diff -u "${ex}testdata/stdout.golden" "$ex_out"
 done
+rm -f "$ex_out"
 
 echo "== ghost-tune smoke (successive-halving auto-tuner)"
 go run ./cmd/ghost-tune -scenario shinjuku-rocksdb -quick -parallel 4
