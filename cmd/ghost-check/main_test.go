@@ -88,3 +88,28 @@ func TestGoldenOutput(t *testing.T) {
 		t.Fatalf("output differs from %s in length: %d lines, want %d", golden, len(gl), len(wl))
 	}
 }
+
+// TestRestoreRejectsMismatchedRepro: a -restore checkpoint carries its
+// machine's topology and seeded mutation, so a -repro spec naming other
+// ones must fail with the differing field named, not report over the
+// checkpoint's machine as if it were the spec's.
+func TestRestoreRejectsMismatchedRepro(t *testing.T) {
+	snap := filepath.Join("testdata", "rewind-seed3.ghostsnp")
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		field string
+	}{
+		{"cpus", []string{"-repro", "seed=5 policy=central-fifo cpus=8 threads=2 horizon=25.000ms", "-mutate", "drop-wakeup"}, "cpus=8"},
+		{"mutation", []string{"-repro", rewindRepro}, `mutate=""`},
+		{"other mutation", []string{"-repro", rewindRepro, "-mutate", "skip-tseq"}, `mutate="skip-tseq"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run(append(tc.args, "-restore", snap), &stdout, &stderr)
+			if code != 2 || !strings.Contains(stderr.String(), tc.field) {
+				t.Fatalf("exit %d, stderr %q, stdout %q; want exit 2 naming %s", code, stderr.String(), stdout.String(), tc.field)
+			}
+		})
+	}
+}

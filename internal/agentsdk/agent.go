@@ -16,7 +16,6 @@ import (
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
-	"ghost/internal/stats"
 )
 
 // Assignment is one scheduling decision of a centralized policy: run
@@ -172,8 +171,8 @@ type AgentSet struct {
 
 	stopped bool
 
-	// Stats.
-	MsgDelivery   stats.Histogram // enqueue-to-drain latency
+	// Per-generation stats. Message delivery and agent steps are counted
+	// on the enclave's metrics (ghostcore.Enclave.Metrics).
 	Handoffs      uint64
 	StepsExecuted uint64
 	TxnsCommitted uint64
@@ -569,13 +568,15 @@ func retry(tc *kernel.TaskContext, cost sim.Duration) kernel.Op {
 func (r *runner) drain(q *ghostcore.Queue, now sim.Time) ([]ghostcore.Message, sim.Duration) {
 	cm := r.set.k.Cost()
 	tr := r.set.k.Tracer()
+	em := r.set.enc.Metrics()
 	msgs := q.Drain()
 	cost := sim.Duration(len(msgs)) * cm.MsgDequeue
 	for _, m := range msgs {
 		// Delivery latency in the Table 3 sense: producing the message,
 		// any wakeup/propagation delay, and consuming it.
 		lat := now - m.Posted + cm.MsgEnqueue + cm.MsgDequeue
-		r.set.MsgDelivery.Record(lat)
+		em.MsgsDelivered++
+		em.MsgDelivery.Record(lat)
 		if tr != nil {
 			tr.MsgDelivered(now, r.set.enc.ID(), r.cpu, m.Type.String(), uint64(m.TID), lat)
 		}
@@ -638,10 +639,19 @@ func (r *runner) globalStep(tc *kernel.TaskContext, now sim.Time) kernel.Op {
 			}
 		}
 	}
+	set.countStep(cost)
 	if tr := set.k.Tracer(); tr != nil {
 		tr.AgentStep(now, set.enc.ID(), r.cpu, cost, len(msgs), committed, "global")
 	}
 	return tc.Run(r.slowed(now, cost)).Then(kernel.Spin())
+}
+
+// countStep adds one scheduling step of the given cost to the enclave's
+// metrics.
+func (set *AgentSet) countStep(cost sim.Duration) {
+	em := set.enc.Metrics()
+	em.AgentSteps++
+	em.AgentStep.Record(cost)
 }
 
 // reportTxns tallies commit outcomes and routes failures to the policy.
@@ -666,9 +676,10 @@ func (r *runner) localStep(tc *kernel.TaskContext, now sim.Time) kernel.Op {
 	cost := cm.AgentLoopOverhead
 	aseq := r.agent.Seq()
 	drained := 0
-	// span emits the wake→decision→commit span for this step on the
-	// agent's trace track.
+	// span counts this step and emits its wake→decision→commit span on
+	// the agent's trace track.
 	span := func(txns int) {
+		set.countStep(cost)
 		if tr := set.k.Tracer(); tr != nil {
 			tr.AgentStep(now, set.enc.ID(), r.cpu, cost, drained, txns, "local")
 		}

@@ -74,11 +74,12 @@ func TestCentralizedSchedulesWorkers(t *testing.T) {
 	if set.TxnsCommitted < 40 {
 		t.Fatalf("txns committed = %d, want >= 40", set.TxnsCommitted)
 	}
-	if set.MsgDelivery.Count() == 0 {
+	delivery := &e.enc.Metrics().MsgDelivery
+	if delivery.Count() == 0 {
 		t.Fatal("no message delivery samples")
 	}
 	// Spinning-agent delivery should be well under a microsecond at p50.
-	if p50 := set.MsgDelivery.P50(); p50 > 2*sim.Microsecond {
+	if p50 := delivery.P50(); p50 > 2*sim.Microsecond {
 		t.Fatalf("global delivery p50 = %v", p50)
 	}
 }

@@ -117,15 +117,25 @@ func (cr *CheckpointedResult) CheckpointBefore(t sim.Time) *ghost.Snapshot {
 // RewindFrom resumes the scenario from a checkpoint — one taken by
 // RunWithCheckpoints in this process or read from a .snap file a
 // previous `ghost-check -snapshot-every` run wrote — and checks the
-// remaining horizon under fresh oracles.
+// remaining horizon under fresh oracles. The checkpoint carries the
+// machine's topology and seeded mutation, so a scenario naming other
+// ones is an error rather than a report over a different machine.
 func RewindFrom(s Scenario, snap *ghost.Snapshot) (*RewindReport, error) {
 	at := snap.Time()
 	if sim.Duration(at) >= s.Horizon {
 		return nil, fmt.Errorf("check: checkpoint t=%v is at or past the scenario horizon %v", at, s.Horizon)
 	}
-	m, err := ghost.Restore(snap, ghost.WithoutMetrics(), ghost.WithInvariants())
+	m, err := ghost.Restore(snap, ghost.WithInvariants())
 	if err != nil {
 		return nil, fmt.Errorf("check: rewind restore: %w", err)
+	}
+	if n := m.Topology().NumCPUs(); n != s.CPUs {
+		m.Shutdown()
+		return nil, fmt.Errorf("check: repro cpus=%d does not match the checkpoint's %d CPUs", s.CPUs, n)
+	}
+	if mut := mutations(s.Mutation); m.Ghost.Mut != mut {
+		m.Shutdown()
+		return nil, fmt.Errorf("check: repro mutate=%q does not match the checkpoint's seeded mutation %+v", s.Mutation, m.Ghost.Mut)
 	}
 	s.setLostThreshold(m.Invariants())
 	skipped := m.Metrics().EngineEvents

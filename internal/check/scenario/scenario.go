@@ -17,6 +17,7 @@ import (
 	"ghost"
 	"ghost/internal/check"
 	"ghost/internal/faults"
+	"ghost/internal/ghostcore"
 	"ghost/internal/sim"
 )
 
@@ -170,8 +171,8 @@ func (s Scenario) build(opts ...ghost.MachineOption) *ghost.Machine {
 		Name: "check", Sockets: 1, CCXsPerSocket: 1,
 		CoresPerCCX: s.CPUs / 2, SMTWidth: 2,
 	})
-	m := ghost.NewMachine(topo, append([]ghost.MachineOption{ghost.WithoutMetrics(), ghost.WithInvariants()}, opts...)...)
-	applyMutation(m.Ghost, s.Mutation)
+	m := ghost.NewMachine(topo, append([]ghost.MachineOption{ghost.WithInvariants()}, opts...)...)
+	m.Ghost.Mut = mutations(s.Mutation)
 	s.setLostThreshold(m.Invariants())
 
 	r := sim.NewRand(s.Seed ^ 0x9E3779B97F4A7C15) // runtime stream, distinct from Generate's
@@ -318,18 +319,20 @@ func noiseBody(r *sim.Rand, inRun bool) ghost.ThreadFunc {
 	return b.resume
 }
 
-func applyMutation(g *ghost.GhostClass, name string) {
+// mutations returns the seeded protocol bug the mutation name selects;
+// the zero value for "".
+func mutations(name string) ghostcore.Mutations {
 	switch name {
 	case "":
+		return ghostcore.Mutations{}
 	case "skip-tseq":
-		g.Mut.SkipTseqBump = true
+		return ghostcore.Mutations{SkipTseqBump: true}
 	case "drop-wakeup":
-		g.Mut.DropWakeup = true
+		return ghostcore.Mutations{DropWakeup: true}
 	case "double-latch":
-		g.Mut.DoubleLatch = true
-	default:
-		panic("check: unknown mutation " + name)
+		return ghostcore.Mutations{DoubleLatch: true}
 	}
+	panic("check: unknown mutation " + name)
 }
 
 // Mutations lists the seeded protocol bugs the mutation tests exercise.

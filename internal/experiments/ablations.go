@@ -116,7 +116,7 @@ func bpfRun(withBPF bool, o Options) (p50, p99 sim.Duration, thr float64, commit
 	workload.NewPoissonSource(m.eng, sim.NewRand(o.Seed+3), 200000,
 		workload.Fixed(25*sim.Microsecond), pool.Submit)
 	m.m.Run(dur)
-	return rec.Hist.P50(), rec.Hist.P99(), rec.Throughput(m.eng.Now()), m.g.BPFCommits
+	return rec.Hist.P50(), rec.Hist.P99(), rec.Throughput(m.eng.Now()), enc.Metrics().BPFCommits
 }
 
 func init() {
@@ -170,8 +170,7 @@ func ticklessRun(tickless bool, work sim.Duration, o Options) (sim.Duration, sim
 	topo := hw.SkylakeDefault()
 	cost := hw.DefaultCostModel()
 	cost.TickOverhead = 2 * sim.Microsecond
-	m := ghost.NewMachine(topo, ghost.WithCostModel(cost),
-		ghost.WithoutMetrics(), ghost.WithoutMicroQuanta())
+	m := ghost.NewMachine(topo, ghost.WithCostModel(cost), ghost.WithoutMicroQuanta())
 	k := m.Kernel()
 	defer m.Shutdown()
 

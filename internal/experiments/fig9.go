@@ -163,15 +163,17 @@ func fig9Run(mode fig9Mode, o Options) *fig9Result {
 	// Handoff latency: time from the forced upgrade to the successor
 	// generation's first committed transaction. The injector's events
 	// predate these samplers, so at time t the upgrade has already
-	// fired and TxnsOK counts only the old generations.
+	// fired and the enclave's commit count covers only the old
+	// generations.
+	em := enc.Metrics()
 	for _, t := range upgradeTimes {
 		t := t
 		m.eng.At(t, func() {
-			base := m.g.TxnsOK
+			base := em.TxnsCommitted
 			deadline := t + sim.Time(50*sim.Millisecond)
 			var poll func()
 			poll = func() {
-				if m.g.TxnsOK > base {
+				if em.TxnsCommitted > base {
 					res.handoff.Record(m.eng.Now() - t)
 					return
 				}

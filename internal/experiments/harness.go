@@ -149,7 +149,7 @@ type machineOpts struct {
 }
 
 func newMachine(o machineOpts) *machine {
-	opts := []ghost.MachineOption{ghost.WithoutMetrics()}
+	var opts []ghost.MachineOption
 	if !o.mq {
 		opts = append(opts, ghost.WithoutMicroQuanta())
 	}

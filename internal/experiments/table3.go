@@ -97,7 +97,7 @@ func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
 	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(0, 1)
-	set := m.m.StartAgents(enc, policies.NewPerCPUFIFO(), ghost.PerCPU())
+	m.m.StartAgents(enc, policies.NewPerCPUFIFO(), ghost.PerCPU())
 	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, runBlockLoop(400, 2*sim.Microsecond))
 	sim.NewTicker(m.eng, 50*sim.Microsecond, func(sim.Time) {
 		if th.State() == kernel.StateBlocked {
@@ -110,7 +110,7 @@ func measurePerCPUPath(o Options) (sim.Duration, sim.Duration) {
 	// thread minus delivery. Report the direct commit+switch figure.
 	cm := m.k.Cost()
 	localSched := (cm.LocalSchedule - cm.ContextSwitchMinimal) + cm.ContextSwitchMinimal
-	return set.MsgDelivery.P50(), localSched
+	return enc.Metrics().MsgDelivery.P50(), localSched
 }
 
 // measureGlobalDelivery measures message delivery into a spinning global
@@ -120,7 +120,7 @@ func measureGlobalDelivery(o Options) sim.Duration {
 	m := newMachine(machineOpts{topo: topo})
 	defer m.k.Shutdown()
 	enc := m.enclaveOn(0, 1, 2, 3)
-	set := m.startCentral(enc, policies.NewCentralFIFO())
+	m.startCentral(enc, policies.NewCentralFIFO())
 	th := enc.SpawnThread(kernel.SpawnOpts{Name: "t"}, runBlockLoop(400, 2*sim.Microsecond))
 	sim.NewTicker(m.eng, 50*sim.Microsecond, func(sim.Time) {
 		if th.State() == kernel.StateBlocked {
@@ -128,7 +128,7 @@ func measureGlobalDelivery(o Options) sim.Duration {
 		}
 	})
 	m.m.Run(25 * sim.Millisecond)
-	return set.MsgDelivery.P50()
+	return enc.Metrics().MsgDelivery.P50()
 }
 
 // measureRemoteE2E commits a group of n transactions from an event

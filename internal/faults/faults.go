@@ -17,6 +17,7 @@ package faults
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -344,16 +345,18 @@ type Injector struct {
 
 	windows []*window
 	hooks   map[int]*AgentHooks
+	counts  map[string]uint64 // fault decisions by kind (Metrics.Faults)
 }
 
 // NewInjector schedules every fault of plan on eng and returns the
 // injector. Faults whose time already passed fire at the current time.
 func NewInjector(eng *sim.Engine, plan *Plan) *Injector {
 	in := &Injector{
-		eng:   eng,
-		rnd:   sim.NewRand(plan.Seed ^ 0xFA017FA017),
-		plan:  plan,
-		hooks: make(map[int]*AgentHooks),
+		eng:    eng,
+		rnd:    sim.NewRand(plan.Seed ^ 0xFA017FA017),
+		plan:   plan,
+		hooks:  make(map[int]*AgentHooks),
+		counts: make(map[string]uint64),
 	}
 	for _, f := range plan.Faults {
 		f := f
@@ -374,11 +377,23 @@ func (in *Injector) Plan() *Plan { return in.plan }
 // tracer currently attached.
 func (in *Injector) BindTracer(fn func() *trace.Tracer) { in.tracer = fn }
 
-func (in *Injector) tr() *trace.Tracer {
-	if in.tracer == nil {
+// note counts one fault-injection decision (a window opening, or one
+// injected fault inside a window) by its kind string and records it on
+// the tracer's fault track.
+func (in *Injector) note(now sim.Time, kind string, enc int, detail string) {
+	in.counts[kind]++
+	if in.tracer != nil {
+		in.tracer().Fault(now, kind, enc, detail)
+	}
+}
+
+// Counts returns a copy of the injected-fault counts by kind, nil when
+// no fault fired.
+func (in *Injector) Counts() map[string]uint64 {
+	if in == nil || len(in.counts) == 0 {
 		return nil
 	}
-	return in.tracer()
+	return maps.Clone(in.counts)
 }
 
 // RegisterAgentHooks installs (or replaces) the agent-level fault
@@ -417,7 +432,7 @@ func (in *Injector) fire(f Fault) {
 			left = -1
 		}
 		in.windows = append(in.windows, &window{f: f, until: until, left: left})
-		in.tr().Fault(now, f.Kind.String()+"-window", f.Enc, f.String())
+		in.note(now, f.Kind.String()+"-window", f.Enc, f.String())
 		return
 	}
 	fired := false
@@ -426,19 +441,19 @@ func (in *Injector) fire(f Fault) {
 		switch f.Kind {
 		case AgentCrash:
 			if h.Crash != nil {
-				in.tr().Fault(now, "crash", id, "")
+				in.note(now, "crash", id, "")
 				h.Crash(now)
 				fired = true
 			}
 		case Upgrade:
 			if h.Upgrade != nil {
-				in.tr().Fault(now, "upgrade", id, "")
+				in.note(now, "upgrade", id, "")
 				h.Upgrade(now)
 				fired = true
 			}
 		case AgentStall:
 			if h.Stall != nil {
-				in.tr().Fault(now, "stall", id, f.Dur.String())
+				in.note(now, "stall", id, f.Dur.String())
 				h.Stall(now, f.CPU, f.Dur)
 				fired = true
 			}
@@ -448,14 +463,14 @@ func (in *Injector) fire(f Fault) {
 				if factor <= 1 {
 					factor = 2
 				}
-				in.tr().Fault(now, "slow", id, fmt.Sprintf("x%g for %v", factor, f.Dur))
+				in.note(now, "slow", id, fmt.Sprintf("x%g for %v", factor, f.Dur))
 				h.Slow(now, f.CPU, now+f.Dur, factor)
 				fired = true
 			}
 		}
 	}
 	if !fired {
-		in.tr().Fault(now, f.Kind.String()+"-skipped", f.Enc, "no agent hooks")
+		in.note(now, f.Kind.String()+"-skipped", f.Enc, "no agent hooks")
 	}
 }
 
@@ -492,7 +507,7 @@ func (in *Injector) OnMessagePost(now sim.Time, enc int) (drop, dup bool, delay 
 		return
 	}
 	if f := in.match(MsgDrop, now, enc); f != nil {
-		in.tr().Fault(now, "msgdrop", enc, "")
+		in.note(now, "msgdrop", enc, "")
 		return true, false, 0
 	}
 	if f := in.match(MsgDelay, now, enc); f != nil {
@@ -500,11 +515,11 @@ func (in *Injector) OnMessagePost(now sim.Time, enc int) (drop, dup bool, delay 
 		if d <= 0 {
 			d = 10 * sim.Microsecond
 		}
-		in.tr().Fault(now, "msgdelay", enc, d.String())
+		in.note(now, "msgdelay", enc, d.String())
 		return false, false, d
 	}
 	if f := in.match(MsgDup, now, enc); f != nil {
-		in.tr().Fault(now, "msgdup", enc, "")
+		in.note(now, "msgdup", enc, "")
 		return false, true, 0
 	}
 	return
@@ -518,7 +533,7 @@ func (in *Injector) OnIPI(now sim.Time, enc int) (lost bool, extra sim.Duration)
 		return
 	}
 	if f := in.match(IPILoss, now, enc); f != nil {
-		in.tr().Fault(now, "ipiloss", enc, "")
+		in.note(now, "ipiloss", enc, "")
 		return true, 0
 	}
 	if f := in.match(IPIDelay, now, enc); f != nil {
@@ -526,7 +541,7 @@ func (in *Injector) OnIPI(now sim.Time, enc int) (lost bool, extra sim.Duration)
 		if d <= 0 {
 			d = 5 * sim.Microsecond
 		}
-		in.tr().Fault(now, "ipidelay", enc, d.String())
+		in.note(now, "ipidelay", enc, d.String())
 		return false, d
 	}
 	return
@@ -539,7 +554,7 @@ func (in *Injector) OnTxnValidate(now sim.Time, enc int) bool {
 		return false
 	}
 	if f := in.match(TxnFail, now, enc); f != nil {
-		in.tr().Fault(now, "txnfail", enc, "")
+		in.note(now, "txnfail", enc, "")
 		return true
 	}
 	return false

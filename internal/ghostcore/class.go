@@ -7,6 +7,7 @@ import (
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
+	"ghost/internal/trace"
 )
 
 // StatusWord is the shared-memory word exposing a thread's (or agent's)
@@ -65,12 +66,9 @@ type Class struct {
 	// mutation tests; the zero value is correct behavior.
 	Mut Mutations
 
-	// Stats.
-	MsgsPosted  uint64
-	TxnsOK      uint64
-	TxnsFailed  uint64
-	BPFCommits  uint64
-	Preemptions uint64
+	// IPIs counts remote transaction install interrupts. Like the
+	// enclaves' metrics it is not snapshotted.
+	IPIs uint64
 }
 
 // NewClass creates and registers the ghOSt scheduling class. fallback is
@@ -180,8 +178,8 @@ func (g *Class) postThreadMsg(t *kernel.Thread, mt MsgType) {
 		return
 	}
 	gt.pendingMsgs++
-	g.MsgsPosted++
 	if mt == MsgThreadPreempted {
+		gt.enc.m.Preemptions++
 		if tr := g.k.Tracer(); tr != nil {
 			tr.Preemption(g.k.Now(), gt.enc.id, uint64(t.TID()), t.LastCPU())
 		}
@@ -212,7 +210,6 @@ func (g *Class) Enqueue(t *kernel.Thread, cpu hw.CPUID, r kernel.EnqueueReason) 
 	case kernel.EnqWake, kernel.EnqClassChange:
 		g.postThreadMsg(t, MsgThreadWakeup)
 	case kernel.EnqPreempt:
-		g.Preemptions++
 		g.postThreadMsg(t, MsgThreadPreempted)
 	case kernel.EnqYield:
 		g.postThreadMsg(t, MsgThreadYield)
@@ -348,7 +345,6 @@ func (g *Class) onTick(c *kernel.CPU) {
 	}
 	q := enc.tickQueue(c.ID)
 	if q != nil {
-		g.MsgsPosted++
 		q.post(Message{Type: MsgTimerTick, CPU: c.ID})
 	}
 }
@@ -374,7 +370,7 @@ func (g *Class) onIdle(c *kernel.CPU) {
 	gt.runnable = false
 	g.slots[c.ID] = t
 	g.obsLatched(enc, c.ID, t)
-	g.BPFCommits++
+	enc.m.BPFCommits++
 	if tr := g.k.Tracer(); tr != nil {
 		tr.BPFCommit(g.k.Now(), enc.id, uint64(t.TID()), c.ID)
 	}
@@ -395,7 +391,22 @@ func (g *Class) enclaveByID(id int) *Enclave {
 // class's own: callers must not modify it.
 func (g *Class) Enclaves() []*Enclave { return g.live }
 
+// EnclaveMetrics returns a copy of every enclave's metrics, destroyed
+// enclaves included, keyed by enclave id.
+func (g *Class) EnclaveMetrics() map[int]*trace.EnclaveMetrics {
+	out := make(map[int]*trace.EnclaveMetrics, len(g.enclaves))
+	for _, e := range g.enclaves {
+		out[e.id] = e.m.Clone()
+	}
+	return out
+}
+
 func (g *Class) String() string {
-	return fmt.Sprintf("ghost{enclaves=%d msgs=%d txns=%d/%d}",
-		len(g.Enclaves()), g.MsgsPosted, g.TxnsOK, g.TxnsOK+g.TxnsFailed)
+	var msgs, ok, failed uint64
+	for _, e := range g.enclaves {
+		msgs += e.m.MsgsPosted
+		ok += e.m.TxnsCommitted
+		failed += e.m.TxnsFailed
+	}
+	return fmt.Sprintf("ghost{enclaves=%d msgs=%d txns=%d/%d}", len(g.Enclaves()), msgs, ok, ok+failed)
 }

@@ -8,6 +8,7 @@ import (
 	"ghost/internal/hw"
 	"ghost/internal/kernel"
 	"ghost/internal/sim"
+	"ghost/internal/trace"
 )
 
 // BPFProgram is the interface of the agent-supplied program attached to
@@ -78,6 +79,11 @@ type Enclave struct {
 
 	destroyed    bool
 	destroyCause error
+
+	// m counts the enclave's messages, transactions, agent steps and
+	// lifecycle events; not snapshotted, so it counts from build or
+	// restore.
+	m trace.EnclaveMetrics
 }
 
 // NewEnclave partitions the given CPUs into a new enclave. Panics if any
@@ -92,6 +98,7 @@ func NewEnclave(g *Class, cpus kernel.Mask) *Enclave {
 		k:      g.k,
 		cpus:   cpus,
 		agents: make([]*Agent, g.k.NumCPUs()),
+		m:      trace.EnclaveMetrics{ID: g.nextEncID},
 	}
 	g.nextEncID++
 	cpus.ForEach(func(c hw.CPUID) bool {
@@ -109,6 +116,10 @@ func NewEnclave(g *Class, cpus kernel.Mask) *Enclave {
 
 // ID returns the enclave id.
 func (e *Enclave) ID() int { return e.id }
+
+// Metrics returns the enclave's live metrics. The agent SDK adds its
+// message-delivery and agent-step samples here; other callers only read.
+func (e *Enclave) Metrics() *trace.EnclaveMetrics { return &e.m }
 
 // CPUs returns the enclave's CPU mask.
 func (e *Enclave) CPUs() kernel.Mask { return e.cpus }
@@ -451,9 +462,7 @@ func (e *Enclave) TxnsCommit(a *Agent, txns []*Txn) {
 	}
 	n := len(txns)
 	if n > 1 {
-		if tr := e.k.Tracer(); tr != nil {
-			tr.GroupCommit(e.k.Now(), e.id, n, false)
-		}
+		e.groupCommit(n, false)
 	}
 	for _, txn := range txns {
 		e.commitOne(a, txn, n)
@@ -472,22 +481,14 @@ func (e *Enclave) TxnsCommitAtomic(a *Agent, txns []*Txn) bool {
 		}
 		return false
 	}
-	tr := e.k.Tracer()
 	for _, txn := range txns {
 		if s, cause := e.validate(a, txn); s != TxnCommitted {
 			txn.Status = s
-			e.g.TxnsFailed++
-			if tr != nil {
-				tr.TxnFailed(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, s.String(), cause)
-			}
+			e.txnFailed(txn, cause)
 			for _, other := range txns {
 				if other != txn && other.Status == TxnPending {
 					other.Status = TxnInvalid
-					e.g.TxnsFailed++
-					if tr != nil {
-						tr.TxnFailed(e.k.Now(), e.id, uint64(other.TID), other.CPU,
-							TxnInvalid.String(), "group-abort")
-					}
+					e.txnFailed(other, "group-abort")
 				}
 			}
 			e.g.obsTxnGroup(e, txns, true)
@@ -495,9 +496,7 @@ func (e *Enclave) TxnsCommitAtomic(a *Agent, txns []*Txn) bool {
 		}
 	}
 	n := len(txns)
-	if tr != nil {
-		tr.GroupCommit(e.k.Now(), e.id, n, true)
-	}
+	e.groupCommit(n, true)
 	for _, txn := range txns {
 		e.apply(a, txn, n)
 	}
@@ -519,14 +518,12 @@ func (e *Enclave) PreemptCPU(cpu hw.CPUID) {
 			g.obsUnlatched(e, cpu, s, "preempt-cpu")
 		}
 		g.slots[cpu] = nil
-		g.Preemptions++
 		g.postThreadMsg(s, MsgThreadPreempted)
 	}
 	if s := g.inflight[cpu]; s != nil {
 		if gt := gstate(s); gt != nil && gt.latched {
 			gt.latched = false
 			g.obsUnlatched(e, cpu, s, "preempt-cpu")
-			g.Preemptions++
 			g.postThreadMsg(s, MsgThreadPreempted)
 		}
 		g.inflight[cpu] = nil
@@ -586,13 +583,40 @@ func (e *Enclave) validate(a *Agent, txn *Txn) (TxnStatus, string) {
 func (e *Enclave) commitOne(a *Agent, txn *Txn, groupSize int) {
 	if s, cause := e.validate(a, txn); s != TxnCommitted {
 		txn.Status = s
-		e.g.TxnsFailed++
-		if tr := e.k.Tracer(); tr != nil {
-			tr.TxnFailed(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, s.String(), cause)
-		}
+		e.txnFailed(txn, cause)
 		return
 	}
 	e.apply(a, txn, groupSize)
+}
+
+// txnFailed counts the rejected transaction txn, whose Status is set,
+// and records it with the tracer. cause is the ESTALE cause from
+// validate, or why the group aborted.
+func (e *Enclave) txnFailed(txn *Txn, cause string) {
+	e.m.TxnsFailed++
+	if txn.Status == TxnESTALE {
+		e.m.TxnESTALE++
+		switch cause {
+		case "aseq":
+			e.m.TxnESTALEAgent++
+		case "tseq":
+			e.m.TxnESTALEThread++
+		}
+	}
+	if tr := e.k.Tracer(); tr != nil {
+		tr.TxnFailed(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, txn.Status.String(), cause)
+	}
+}
+
+// groupCommit counts a batch of n transactions committed together
+// (atomic marks the §4.5 all-or-nothing variant) and records it with
+// the tracer.
+func (e *Enclave) groupCommit(n int, atomic bool) {
+	e.m.GroupCommits++
+	e.m.GroupedTxns += uint64(n)
+	if tr := e.k.Tracer(); tr != nil {
+		tr.GroupCommit(e.k.Now(), e.id, n, atomic)
+	}
 }
 
 // installRec carries one committed transaction's install parameters from
@@ -647,7 +671,6 @@ func (g *Class) doInstall(rec *installRec) {
 		// agent as a preemption rather than parking it forever.
 		gt.latched = false
 		g.obsUnlatched(e, cpu, t, "cpu-taken")
-		g.Preemptions++
 		g.postThreadMsg(t, MsgThreadPreempted)
 		return
 	}
@@ -672,7 +695,7 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 	gt := gstate(t)
 	local := a != nil && a.cpu == txn.CPU
 	txn.Status = TxnCommitted
-	g.TxnsOK++
+	e.m.TxnsCommitted++
 	gt.latched = true
 	g.inflight[txn.CPU] = t
 	g.obsLatched(e, txn.CPU, t)
@@ -681,11 +704,12 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 	*rec = installRec{e: e, t: t, gt: gt, cpu: txn.CPU, local: local, a: a}
 	tr := e.k.Tracer()
 	if local {
+		// Local commit-to-run latency is the Table 3 local-schedule path
+		// (validation + dispatch + context switch).
+		lat := e.k.Cost().LocalSchedule
+		e.m.TxnCommit.Record(lat)
 		if tr != nil {
-			// Local commit-to-run latency is the Table 3 local-schedule
-			// path (validation + dispatch + context switch).
-			tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize,
-				true, e.k.Cost().LocalSchedule)
+			tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize, true, lat)
 		}
 		g.doInstall(rec)
 		return
@@ -702,10 +726,12 @@ func (e *Enclave) apply(a *Agent, txn *Txn, groupSize int) {
 		}
 		delay += extra
 	}
+	// Remote commit-to-run latency: this transaction's share of the
+	// agent-side group commit plus the IPI/target install cost.
+	lat := e.k.Cost().RemoteCommitAgentCost(groupSize)/sim.Duration(groupSize) + delay
+	e.m.TxnCommit.Record(lat)
+	g.IPIs++
 	if tr != nil {
-		// Remote commit-to-run latency: this transaction's share of the
-		// agent-side group commit plus the IPI/target install cost.
-		lat := e.k.Cost().RemoteCommitAgentCost(groupSize)/sim.Duration(groupSize) + delay
 		tr.TxnCommitted(e.k.Now(), e.id, uint64(txn.TID), txn.CPU, groupSize, false, lat)
 		tr.IPI(e.k.Now(), txn.CPU, delay, groupSize)
 	}
@@ -740,6 +766,7 @@ func (e *Enclave) TxnsRecall(txns []*Txn) int {
 			e.g.inflight[txn.CPU] = nil
 		}
 		txn.Status = TxnRecalled
+		e.m.TxnsRecalled++
 		if tr := e.k.Tracer(); tr != nil {
 			tr.TxnRecalled(e.k.Now(), e.id, uint64(txn.TID), txn.CPU)
 		}
@@ -780,6 +807,8 @@ func (e *Enclave) DestroyWith(cause error) {
 	e.destroyCause = cause
 	// Copy rather than delete in place: a caller may hold Enclaves().
 	e.g.live = slices.DeleteFunc(slices.Clone(e.g.live), func(le *Enclave) bool { return le == e })
+	e.m.Destroyed = true
+	e.m.DestroyedReason = cause.Error()
 	if tr := e.k.Tracer(); tr != nil {
 		tr.EnclaveEvent(e.k.Now(), e.id, "destroy", cause.Error())
 	}
@@ -865,6 +894,7 @@ func (e *Enclave) watchdogCheck(now sim.Time) {
 	for _, t := range e.threads {
 		gt := gstate(t)
 		if gt != nil && gt.runnable && !gt.latched && now-gt.runnableSince > e.WatchdogTimeout {
+			e.m.WatchdogFires++
 			if tr := e.k.Tracer(); tr != nil {
 				tr.EnclaveEvent(now, e.id, "watchdog-fired", t.Name())
 			}

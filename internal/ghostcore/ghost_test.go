@@ -514,7 +514,7 @@ func TestBPFFastpath(t *testing.T) {
 	if th.State() != kernel.StateDead {
 		t.Fatalf("BPF fastpath did not run thread: %v", th.State())
 	}
-	if env.g.BPFCommits == 0 {
+	if env.enc.Metrics().BPFCommits == 0 {
 		t.Fatal("BPF commit not counted")
 	}
 }

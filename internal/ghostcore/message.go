@@ -193,6 +193,11 @@ func (q *Queue) deliver(m Message, dup, delayed bool) {
 		return
 	}
 	q.enqueue(m)
+	em := &q.enc.m
+	em.MsgsPosted++
+	if n := q.Len(); n > em.QueueDepthMax {
+		em.QueueDepthMax = n
+	}
 	if tr := q.enc.k.Tracer(); tr != nil {
 		tr.MsgPosted(q.enc.k.Now(), q.enc.id, q.name, m.Type.String(), uint64(m.TID), q.Len())
 	}

@@ -74,12 +74,6 @@ type ClassRec struct {
 	Inflight  []int     `json:"inflight"` // per-CPU in-flight TID, 0 none
 	Mut       Mutations `json:"mut"`
 
-	MsgsPosted  uint64 `json:"msgsPosted"`
-	TxnsOK      uint64 `json:"txnsOK"`
-	TxnsFailed  uint64 `json:"txnsFailed"`
-	BPFCommits  uint64 `json:"bpfCommits"`
-	Preemptions uint64 `json:"preemptions"`
-
 	Enclaves []EnclaveRec `json:"enclaves"`
 }
 
@@ -87,15 +81,7 @@ type ClassRec struct {
 // on state outside the v1 snapshot envelope: destroyed enclaves, attached
 // BPF programs, in-flight agent upgrades, non-int/string hints.
 func (g *Class) SaveImage() (*ClassRec, error) {
-	rec := &ClassRec{
-		NextEncID:   g.nextEncID,
-		Mut:         g.Mut,
-		MsgsPosted:  g.MsgsPosted,
-		TxnsOK:      g.TxnsOK,
-		TxnsFailed:  g.TxnsFailed,
-		BPFCommits:  g.BPFCommits,
-		Preemptions: g.Preemptions,
-	}
+	rec := &ClassRec{NextEncID: g.nextEncID, Mut: g.Mut}
 	rec.Slots = make([]int, len(g.slots))
 	rec.Inflight = make([]int, len(g.inflight))
 	for i := range g.slots {
@@ -259,11 +245,6 @@ func (g *Class) RestoreEnclaveShells(rec *ClassRec) ([]*Enclave, error) {
 func (g *Class) RestoreImage(rec *ClassRec) error {
 	g.nextEncID = rec.NextEncID
 	g.Mut = rec.Mut
-	g.MsgsPosted = rec.MsgsPosted
-	g.TxnsOK = rec.TxnsOK
-	g.TxnsFailed = rec.TxnsFailed
-	g.BPFCommits = rec.BPFCommits
-	g.Preemptions = rec.Preemptions
 	for i := range g.slots {
 		g.slots[i] = nil
 		g.inflight[i] = nil

@@ -29,6 +29,10 @@ type CPU struct {
 	busyNS    sim.Duration
 	busyStart sim.Time
 	switches  uint64
+
+	// lastTID is the last thread Kernel.CtxSwitches counted on this CPU,
+	// 0 after an idle. Not snapshotted, like the count.
+	lastTID TID
 }
 
 // Curr returns the thread currently on this CPU (nil when idle). During a

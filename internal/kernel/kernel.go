@@ -45,8 +45,15 @@ type Kernel struct {
 	// TraceFn, when set, receives a line per scheduling event.
 	TraceFn func(string)
 
-	// tr is the structured tracer; nil disables all instrumentation.
+	// tr is the timeline tracer; nil when no timeline is recorded.
 	tr *trace.Tracer
+
+	// CtxSwitches counts thread installs on CPUs: a switch counts when
+	// the thread on a CPU changes, and an idle CPU forgets its last
+	// thread. Wakeups counts wake placements. Neither is snapshotted, so
+	// both count from build or restore.
+	CtxSwitches uint64
+	Wakeups     uint64
 
 	// faults is the fault-injection plan replayer; nil when no plan is
 	// installed.
@@ -113,20 +120,10 @@ func startTickFn(a any) { a.(*sim.Ticker).Start() }
 // Scheduler returns the machine's event engine.
 func (k *Kernel) Scheduler() *sim.Engine { return k.eng }
 
-// SetTracer attaches a structured tracer (nil detaches). The ghOSt core
+// SetTracer attaches a timeline tracer (nil detaches). The ghOSt core
 // and agent SDK read it back with Tracer, so one tracer observes the
 // whole stack.
-func (k *Kernel) SetTracer(tr *trace.Tracer) {
-	k.tr = tr
-	// The engine meters its own dispatch counts (Engine.Executed,
-	// Engine.MaxQueue); the per-dispatch callback is only worth its cost
-	// when a full event timeline is being recorded.
-	if tr.Enabled() {
-		k.eng.OnDispatch = tr.EngineDispatch
-	} else {
-		k.eng.OnDispatch = nil
-	}
-}
+func (k *Kernel) SetTracer(tr *trace.Tracer) { k.tr = tr }
 
 // Tracer returns the attached tracer; nil when tracing is off. All
 // trace.Tracer emit methods are nil-safe.
@@ -146,13 +143,21 @@ func (k *Kernel) SetFaults(in *faults.Injector) {
 // is off. All faults.Injector interception methods are nil-safe.
 func (k *Kernel) Faults() *faults.Injector { return k.faults }
 
-// traceCPU records c's current-thread transition with the tracer: a new
-// run slice when a thread is installed, a slice close when it idles.
-func (k *Kernel) traceCPU(c *CPU) {
+// noteCPU counts c's current-thread transition and records it with the
+// tracer: a new run slice when a thread is installed, a slice close when
+// it idles.
+func (k *Kernel) noteCPU(c *CPU) {
+	t := c.curr
+	if t == nil {
+		c.lastTID = 0
+	} else if t.tid != c.lastTID {
+		c.lastTID = t.tid
+		k.CtxSwitches++
+	}
 	if k.tr == nil {
 		return
 	}
-	if t := c.curr; t != nil {
+	if t != nil {
 		k.tr.CPURun(k.eng.Now(), c.ID, uint64(t.tid), t.name, t.class.Name())
 	} else {
 		k.tr.CPUIdle(k.eng.Now(), c.ID)
@@ -320,8 +325,11 @@ func (k *Kernel) makeRunnable(t *Thread, r EnqueueReason) {
 		cpu = t.lastCPU
 	}
 	t.targetCPU = cpu
-	if r == EnqWake && k.tr != nil {
-		k.tr.Wakeup(k.eng.Now(), cpu, uint64(t.tid), t.name)
+	if r == EnqWake {
+		k.Wakeups++
+		if k.tr != nil {
+			k.tr.Wakeup(k.eng.Now(), cpu, uint64(t.tid), t.name)
+		}
 	}
 	t.class.Enqueue(t, cpu, r)
 	k.maybePreempt(k.cpus[cpu], t)
@@ -469,7 +477,7 @@ func (k *Kernel) cpuIdle(c *CPU) {
 		return
 	}
 	c.accountIdle()
-	k.traceCPU(c)
+	k.noteCPU(c)
 	if k.TraceFn != nil {
 		k.Tracef("cpu%d idle", c.ID)
 	}
@@ -498,7 +506,7 @@ func (k *Kernel) switchTo(c *CPU, next *Thread) {
 	c.switches++
 	c.curr = next
 	c.accountBusy()
-	k.traceCPU(c)
+	k.noteCPU(c)
 	for _, fn := range k.switchHooks {
 		fn(c, next)
 	}

@@ -164,12 +164,6 @@ type Engine struct {
 	// sampled at each dispatch. Cancelled events are removed eagerly and
 	// never counted.
 	MaxQueue int
-
-	// OnDispatch, when non-nil, observes every event dispatch with the
-	// current time and the number of events still queued. The tracing
-	// subsystem uses it to meter engine activity; it must not schedule
-	// or cancel events.
-	OnDispatch func(now Time, queued int)
 }
 
 // NewEngine returns an engine with an empty event queue at time zero.
@@ -270,14 +264,10 @@ func (e *Engine) step(limit Time) bool {
 	e.remove(next)
 	e.now = next.at
 	e.Executed++
-	// The queued figure sampled here (and handed to OnDispatch) is the
-	// number of live events still pending after this pop.
-	queued := e.nbucket + len(e.spill)
-	if queued > e.MaxQueue {
+	// The queued figure sampled here is the number of live events still
+	// pending after this pop.
+	if queued := e.nbucket + len(e.spill); queued > e.MaxQueue {
 		e.MaxQueue = queued
-	}
-	if e.OnDispatch != nil {
-		e.OnDispatch(e.now, queued)
 	}
 	// Recycle before dispatch: the callback may immediately schedule a
 	// new event into this storage; outstanding handles to the fired

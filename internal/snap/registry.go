@@ -121,10 +121,7 @@ func (ctx *RestoreCtx) Component(key string) Component { return ctx.components[k
 // Enclave returns the rebuilt enclave with the given id, nil if none.
 func (ctx *RestoreCtx) Enclave(id int) *ghostcore.Enclave { return ctx.enclaves[id] }
 
-func bodyFactory(kind string, overrides map[string]BodyFactory) (BodyFactory, error) {
-	if f, ok := overrides[kind]; ok {
-		return f, nil
-	}
+func bodyFactory(kind string) (BodyFactory, error) {
 	if f, ok := bodyReg[kind]; ok {
 		return f, nil
 	}

@@ -8,32 +8,36 @@ import (
 	"ghost/internal/stats"
 )
 
-// Metrics is an aggregated snapshot of everything the tracer counted:
-// engine dispatch volume, kernel scheduling activity, and per-enclave
-// message/transaction latency distributions. Obtain one from
-// Tracer.Metrics (or Machine.Metrics through the facade).
+// Metrics is a snapshot of a machine's run statistics: engine dispatch
+// volume, kernel scheduling activity, and per-enclave
+// message/transaction latency distributions. Each count lives on the
+// layer whose event it counts and is copied here by Machine.Metrics; the
+// counters start at zero when a machine is built or restored.
 type Metrics struct {
 	// EngineEvents is the number of discrete events the simulation
 	// engine dispatched; EngineMaxQueue is the event queue's high-water
-	// mark.
+	// mark (sim.Engine.Executed and MaxQueue).
 	EngineEvents   uint64
 	EngineMaxQueue int
 
 	// CtxSwitches counts thread installs on CPUs; Wakeups counts wake
-	// placements; IPIs counts remote transaction install interrupts.
+	// placements (kernel.Kernel); IPIs counts remote transaction install
+	// interrupts (ghostcore.Class).
 	CtxSwitches uint64
 	Wakeups     uint64
 	IPIs        uint64
 
 	// Faults counts injected faults by kind string ("crash", "msgdrop",
-	// ...), nil when no fault plan ran.
+	// ...), nil when no fault fired (faults.Injector).
 	Faults map[string]uint64
 
 	// Enclaves holds the per-enclave breakdown, keyed by enclave id.
 	Enclaves map[int]*EnclaveMetrics
 }
 
-// EnclaveMetrics aggregates one enclave's scheduling activity.
+// EnclaveMetrics aggregates one enclave's scheduling activity. Each
+// ghostcore.Enclave owns one; the agent SDK adds its delivery and step
+// samples to it.
 type EnclaveMetrics struct {
 	ID int
 
@@ -79,37 +83,17 @@ func (em *EnclaveMetrics) CommitRate() float64 {
 	return float64(em.TxnsCommitted) / float64(total)
 }
 
-// Metrics returns a snapshot copy of everything aggregated so far. The
-// tracer keeps accumulating afterwards; the snapshot is independent.
-func (t *Tracer) Metrics() *Metrics {
-	if t == nil {
-		return &Metrics{Enclaves: map[int]*EnclaveMetrics{}}
-	}
-	out := &Metrics{
-		EngineEvents:   t.m.EngineEvents,
-		EngineMaxQueue: t.m.EngineMaxQueue,
-		CtxSwitches:    t.m.CtxSwitches,
-		Wakeups:        t.m.Wakeups,
-		IPIs:           t.m.IPIs,
-		Enclaves:       make(map[int]*EnclaveMetrics, len(t.m.Enclaves)),
-	}
-	if len(t.m.Faults) > 0 {
-		out.Faults = make(map[string]uint64, len(t.m.Faults))
-		for k, v := range t.m.Faults {
-			out.Faults[k] = v
-		}
-	}
-	for id, em := range t.m.Enclaves {
-		c := *em
-		c.MsgDelivery = stats.Histogram{}
-		c.TxnCommit = stats.Histogram{}
-		c.AgentStep = stats.Histogram{}
-		c.MsgDelivery.Merge(&em.MsgDelivery)
-		c.TxnCommit.Merge(&em.TxnCommit)
-		c.AgentStep.Merge(&em.AgentStep)
-		out.Enclaves[id] = &c
-	}
-	return out
+// Clone returns an independent copy of em: later counting on em does
+// not show in it.
+func (em *EnclaveMetrics) Clone() *EnclaveMetrics {
+	c := *em
+	c.MsgDelivery = stats.Histogram{}
+	c.TxnCommit = stats.Histogram{}
+	c.AgentStep = stats.Histogram{}
+	c.MsgDelivery.Merge(&em.MsgDelivery)
+	c.TxnCommit.Merge(&em.TxnCommit)
+	c.AgentStep.Merge(&em.AgentStep)
+	return &c
 }
 
 // String renders the snapshot as the human-readable report printed by

@@ -1,19 +1,21 @@
-// Package trace is the observability layer of the simulator: a
-// zero-overhead-when-disabled event tracer plus an always-cheap metrics
-// aggregator, wired through the simulation engine (event dispatch), the
-// kernel (context switches, wakeups, IPIs), the ghOSt core (message
-// enqueue/delivery, transaction lifecycle, enclave watchdog/fallback)
-// and the agent SDK (wake→decision→commit spans).
+// Package trace is the timeline layer of the simulator: an event tracer
+// wired through the kernel (context switches, wakeups, IPIs), the ghOSt
+// core (message enqueue/delivery, transaction lifecycle, enclave
+// watchdog/fallback), the fault injector and the agent SDK
+// (wake→decision→commit spans). It also defines the Metrics report
+// shape; the counters behind it live on the layers that own the counted
+// events (see Metrics).
 //
 // The timeline is emitted as Chrome trace_event JSON (the format read by
 // Perfetto and chrome://tracing): one track per CPU, one per agent, one
 // per enclave. Because the simulator is deterministic, two runs with the
 // same seed produce byte-identical trace files.
 //
-// Every emit method is safe on a nil *Tracer and compiles to a single
-// nil check in that case, so instrumented code paths pay nothing when
-// tracing is off. A metrics-only tracer (NewMetricsOnly) skips the
-// timeline but still aggregates counters and latency histograms.
+// Every emit method is safe on a nil *Tracer, and callers on hot paths
+// check for nil first, so instrumented code pays one nil check when
+// tracing is off. Emit methods are never inlined: the event records they
+// build (argument maps, boxed values) stay in the tracer's own code
+// instead of growing the hot callers.
 package trace
 
 import (
@@ -30,23 +32,15 @@ const (
 	pidFaults   = 4 // one track for the fault injector's schedule
 )
 
-// Tracer records scheduling events and aggregates metrics. Construct
-// with New (full timeline) or NewMetricsOnly (counters/histograms only).
-// All methods are nil-safe.
+// Tracer records the scheduling event timeline. All methods are
+// nil-safe.
 type Tracer struct {
-	events bool
-	evs    []event
-	m      Metrics
+	evs []event
 
 	// open per-CPU slice state: thread id of the slice begun on each CPU
 	// track, 0 when the track is idle. Indexed by CPU id, grown on demand.
-	open    []uint64
-	lastTs  sim.Time
-	prevCPU []uint64 // last thread seen per CPU, for switch counting
-
-	// encs caches Metrics.Enclaves by id (enclave ids are small and
-	// dense), keeping the per-message/per-txn path off the map.
-	encs []*EnclaveMetrics
+	open   []uint64
+	lastTs sim.Time
 }
 
 // grow returns s extended so index i is addressable.
@@ -57,40 +51,8 @@ func grow(s []uint64, i int) []uint64 {
 	return s
 }
 
-// New returns a tracer that records the full event timeline plus metrics.
-func New() *Tracer {
-	t := NewMetricsOnly()
-	t.events = true
-	return t
-}
-
-// NewMetricsOnly returns a tracer that aggregates metrics but records no
-// timeline events; WriteJSON on it produces only track metadata.
-func NewMetricsOnly() *Tracer {
-	return &Tracer{m: Metrics{Enclaves: make(map[int]*EnclaveMetrics)}}
-}
-
-// Enabled reports whether the tracer records timeline events.
-func (t *Tracer) Enabled() bool { return t != nil && t.events }
-
-// enc returns (allocating if needed) the metrics bucket for enclave id.
-func (t *Tracer) enc(id int) *EnclaveMetrics {
-	if id >= 0 && id < len(t.encs) && t.encs[id] != nil {
-		return t.encs[id]
-	}
-	em := t.m.Enclaves[id]
-	if em == nil {
-		em = &EnclaveMetrics{ID: id}
-		t.m.Enclaves[id] = em
-	}
-	if id >= 0 {
-		for len(t.encs) <= id {
-			t.encs = append(t.encs, nil)
-		}
-		t.encs[id] = em
-	}
-	return em
-}
+// New returns a tracer that records the full event timeline.
+func New() *Tracer { return &Tracer{} }
 
 func (t *Tracer) push(e event) {
 	if e.ts > t.lastTs {
@@ -99,39 +61,18 @@ func (t *Tracer) push(e event) {
 	t.evs = append(t.evs, e)
 }
 
-// --- sim layer -------------------------------------------------------
-
-// EngineDispatch observes one engine event dispatch (installed as the
-// engine's OnDispatch hook). It only feeds metrics; per-event timeline
-// records would dwarf the schedule itself.
-func (t *Tracer) EngineDispatch(now sim.Time, queued int) {
-	if t == nil {
-		return
-	}
-	t.m.EngineEvents++
-	if queued > t.m.EngineMaxQueue {
-		t.m.EngineMaxQueue = queued
-	}
-}
-
 // --- kernel layer ----------------------------------------------------
 
 // CPURun notes that thread tid (name, under scheduling class) became
 // current on cpu: the previous slice on that track closes and a new
 // "ctxswitch" slice opens.
+//
+//go:noinline
 func (t *Tracer) CPURun(now sim.Time, cpu hw.CPUID, tid uint64, name, class string) {
 	if t == nil {
 		return
 	}
 	c := int(cpu)
-	t.prevCPU = grow(t.prevCPU, c)
-	if t.prevCPU[c] != tid {
-		t.prevCPU[c] = tid
-		t.m.CtxSwitches++
-	}
-	if !t.events {
-		return
-	}
 	t.open = grow(t.open, c)
 	if t.open[c] == tid {
 		return // same thread re-confirmed; keep the open slice
@@ -145,16 +86,13 @@ func (t *Tracer) CPURun(now sim.Time, cpu hw.CPUID, tid uint64, name, class stri
 }
 
 // CPUIdle notes that cpu lost its current thread; the open slice closes.
+//
+//go:noinline
 func (t *Tracer) CPUIdle(now sim.Time, cpu hw.CPUID) {
 	if t == nil {
 		return
 	}
 	c := int(cpu)
-	t.prevCPU = grow(t.prevCPU, c)
-	t.prevCPU[c] = 0
-	if !t.events {
-		return
-	}
 	t.open = grow(t.open, c)
 	if t.open[c] == 0 {
 		return
@@ -164,12 +102,10 @@ func (t *Tracer) CPUIdle(now sim.Time, cpu hw.CPUID) {
 }
 
 // Wakeup records a thread wakeup placed on cpu.
+//
+//go:noinline
 func (t *Tracer) Wakeup(now sim.Time, cpu hw.CPUID, tid uint64, name string) {
 	if t == nil {
-		return
-	}
-	t.m.Wakeups++
-	if !t.events {
 		return
 	}
 	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: name, cat: "sched",
@@ -178,12 +114,10 @@ func (t *Tracer) Wakeup(now sim.Time, cpu hw.CPUID, tid uint64, name string) {
 
 // IPI records a rescheduling interrupt sent to cpu (a remote transaction
 // install), with the modeled propagation delay.
+//
+//go:noinline
 func (t *Tracer) IPI(now sim.Time, cpu hw.CPUID, delay sim.Duration, group int) {
 	if t == nil {
-		return
-	}
-	t.m.IPIs++
-	if !t.events {
 		return
 	}
 	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "IPI", cat: "ipi",
@@ -194,16 +128,10 @@ func (t *Tracer) IPI(now sim.Time, cpu hw.CPUID, delay sim.Duration, group int) 
 
 // MsgPosted records a kernel→agent message enqueue with the queue depth
 // after the post.
+//
+//go:noinline
 func (t *Tracer) MsgPosted(now sim.Time, enc int, queue, typ string, tid uint64, qlen int) {
 	if t == nil {
-		return
-	}
-	em := t.enc(enc)
-	em.MsgsPosted++
-	if qlen > em.QueueDepthMax {
-		em.QueueDepthMax = qlen
-	}
-	if !t.events {
 		return
 	}
 	t.push(event{ph: "i", pid: pidEnclaves, tid: enc, ts: now, name: typ, cat: "message",
@@ -213,14 +141,10 @@ func (t *Tracer) MsgPosted(now sim.Time, enc int, queue, typ string, tid uint64,
 // MsgDelivered records a message being drained by the agent on cpu, lat
 // after the Table 3 delivery clock started (produce + propagate +
 // consume).
+//
+//go:noinline
 func (t *Tracer) MsgDelivered(now sim.Time, enc int, cpu hw.CPUID, typ string, tid uint64, lat sim.Duration) {
 	if t == nil {
-		return
-	}
-	em := t.enc(enc)
-	em.MsgsDelivered++
-	em.MsgDelivery.Record(lat)
-	if !t.events {
 		return
 	}
 	t.push(event{ph: "i", pid: pidAgents, tid: int(cpu), ts: now, name: typ, cat: "message",
@@ -230,14 +154,10 @@ func (t *Tracer) MsgDelivered(now sim.Time, enc int, cpu hw.CPUID, typ string, t
 // TxnCommitted records an accepted scheduling transaction. lat is the
 // modeled commit-to-run latency (Table 3: LocalSchedule for local
 // commits, agent share + IPI/target cost for remote group commits).
+//
+//go:noinline
 func (t *Tracer) TxnCommitted(now sim.Time, enc int, tid uint64, cpu hw.CPUID, group int, local bool, lat sim.Duration) {
 	if t == nil {
-		return
-	}
-	em := t.enc(enc)
-	em.TxnsCommitted++
-	em.TxnCommit.Record(lat)
-	if !t.events {
 		return
 	}
 	mode := "remote"
@@ -250,22 +170,10 @@ func (t *Tracer) TxnCommitted(now sim.Time, enc int, tid uint64, cpu hw.CPUID, g
 
 // TxnFailed records a rejected transaction with its status and, for
 // ESTALE, the stale sequence that caused it ("aseq" or "tseq").
+//
+//go:noinline
 func (t *Tracer) TxnFailed(now sim.Time, enc int, tid uint64, cpu hw.CPUID, status, cause string) {
 	if t == nil {
-		return
-	}
-	em := t.enc(enc)
-	em.TxnsFailed++
-	if status == "ESTALE" {
-		em.TxnESTALE++
-		switch cause {
-		case "aseq":
-			em.TxnESTALEAgent++
-		case "tseq":
-			em.TxnESTALEThread++
-		}
-	}
-	if !t.events {
 		return
 	}
 	a := args{"tid": int64(tid), "status": status}
@@ -277,12 +185,10 @@ func (t *Tracer) TxnFailed(now sim.Time, enc int, tid uint64, cpu hw.CPUID, stat
 }
 
 // TxnRecalled records a committed transaction revoked before install.
+//
+//go:noinline
 func (t *Tracer) TxnRecalled(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
 	if t == nil {
-		return
-	}
-	t.enc(enc).TxnsRecalled++
-	if !t.events {
 		return
 	}
 	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "txn-recall", cat: "txn",
@@ -291,14 +197,10 @@ func (t *Tracer) TxnRecalled(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
 
 // GroupCommit records a multi-transaction commit batch (atomic marks the
 // §4.5 all-or-nothing variant).
+//
+//go:noinline
 func (t *Tracer) GroupCommit(now sim.Time, enc, n int, atomic bool) {
 	if t == nil {
-		return
-	}
-	em := t.enc(enc)
-	em.GroupCommits++
-	em.GroupedTxns += uint64(n)
-	if !t.events {
 		return
 	}
 	name := "group-commit"
@@ -310,12 +212,10 @@ func (t *Tracer) GroupCommit(now sim.Time, enc, n int, atomic bool) {
 }
 
 // BPFCommit records the idle-time BPF fastpath committing a thread.
+//
+//go:noinline
 func (t *Tracer) BPFCommit(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
 	if t == nil {
-		return
-	}
-	t.enc(enc).BPFCommits++
-	if !t.events {
 		return
 	}
 	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "bpf-commit", cat: "txn",
@@ -324,12 +224,10 @@ func (t *Tracer) BPFCommit(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
 
 // Preemption records a ghOSt thread being kicked off cpu back to the
 // agent.
+//
+//go:noinline
 func (t *Tracer) Preemption(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
 	if t == nil {
-		return
-	}
-	t.enc(enc).Preemptions++
-	if !t.events {
 		return
 	}
 	t.push(event{ph: "i", pid: pidCPUs, tid: int(cpu), ts: now, name: "preempt", cat: "sched",
@@ -338,19 +236,10 @@ func (t *Tracer) Preemption(now sim.Time, enc int, tid uint64, cpu hw.CPUID) {
 
 // EnclaveEvent records an enclave lifecycle transition (watchdog armed,
 // watchdog fired, destroy with CFS fallback, agent generation change).
+//
+//go:noinline
 func (t *Tracer) EnclaveEvent(now sim.Time, enc int, name, detail string) {
 	if t == nil {
-		return
-	}
-	em := t.enc(enc)
-	switch name {
-	case "watchdog-fired":
-		em.WatchdogFires++
-	case "destroy":
-		em.Destroyed = true
-		em.DestroyedReason = detail
-	}
-	if !t.events {
 		return
 	}
 	a := args{}
@@ -367,15 +256,10 @@ func (t *Tracer) EnclaveEvent(now sim.Time, enc int, name, detail string) {
 // injected fault inside a window) keyed by its kind string. Recovery
 // actions the fault provokes — watchdog fires, CFS fallback, upgrade
 // handoffs — appear as EnclaveEvents on the affected enclave's track.
+//
+//go:noinline
 func (t *Tracer) Fault(now sim.Time, kind string, enc int, detail string) {
 	if t == nil {
-		return
-	}
-	if t.m.Faults == nil {
-		t.m.Faults = make(map[string]uint64)
-	}
-	t.m.Faults[kind]++
-	if !t.events {
 		return
 	}
 	a := args{"enc": int64(enc)}
@@ -391,14 +275,10 @@ func (t *Tracer) Fault(now sim.Time, kind string, enc int, detail string) {
 // AgentStep records one wake→decision→commit span of the agent pinned to
 // cpu: a complete slice of duration dur on the agent's track, annotated
 // with how many messages it drained and transactions it committed.
+//
+//go:noinline
 func (t *Tracer) AgentStep(now sim.Time, enc int, cpu hw.CPUID, dur sim.Duration, msgs, txns int, mode string) {
 	if t == nil {
-		return
-	}
-	em := t.enc(enc)
-	em.AgentSteps++
-	em.AgentStep.Record(dur)
-	if !t.events {
 		return
 	}
 	t.push(event{ph: "X", pid: pidAgents, tid: int(cpu), ts: now, dur: dur, name: "schedule",

@@ -264,7 +264,7 @@ func TestMetricsCostModel(t *testing.T) {
 	}
 }
 
-// TestDisabledTracer: without WithTrace the machine still aggregates
+// TestDisabledTracer: without WithTrace the machine still counts
 // metrics but records no events, and the JSON export stays valid.
 func TestDisabledTracer(t *testing.T) {
 	topo := ghost.NewTopology(ghost.TopologyConfig{
@@ -280,11 +280,11 @@ func TestDisabledTracer(t *testing.T) {
 	}))
 	m.Run(ghost.Millisecond)
 
-	if m.Tracer().Enabled() {
+	if m.Tracer() != nil {
 		t.Fatal("default machine should not record events")
 	}
 	if ms := m.Metrics(); ms.CtxSwitches == 0 {
-		t.Error("metrics-only machine lost context-switch counts")
+		t.Error("untraced machine lost context-switch counts")
 	}
 	var buf bytes.Buffer
 	if err := m.TraceTo(&buf); err != nil {
@@ -296,7 +296,7 @@ func TestDisabledTracer(t *testing.T) {
 	}
 	for _, e := range tf.TraceEvents {
 		if e.Ph != "M" {
-			t.Fatalf("metrics-only trace contains event %+v", e)
+			t.Fatalf("untraced machine's trace contains event %+v", e)
 		}
 	}
 }

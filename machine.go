@@ -77,13 +77,6 @@ func WithoutMicroQuanta() MachineOption {
 	return func(c *machineConfig) { c.noMicroQuanta = true }
 }
 
-// WithoutMetrics disables even aggregate metrics collection, detaching
-// the tracer entirely. This is the true zero-instrumentation baseline
-// used by the overhead benchmarks.
-func WithoutMetrics() MachineOption {
-	return func(c *machineConfig) { c.tracer = nil }
-}
-
 // WithFaults installs a deterministic fault-injection plan (§3.4): a
 // seeded schedule of agent crashes, stalls, message drops/delays, IPI
 // loss, transaction failures, and forced upgrades. Every injected fault
@@ -116,10 +109,7 @@ func NewMachine(topo *Topology, opts ...MachineOption) *Machine {
 
 // configure applies opts over the defaults.
 func configure(opts []MachineOption) machineConfig {
-	cfg := machineConfig{
-		cost:   hw.DefaultCostModel(),
-		tracer: trace.NewMetricsOnly(),
-	}
+	cfg := machineConfig{cost: hw.DefaultCostModel()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -156,20 +146,24 @@ func (m *Machine) Kernel() *Kernel { return m.k }
 // Topology returns the machine topology.
 func (m *Machine) Topology() *Topology { return m.k.Topology() }
 
-// Tracer returns the machine's tracer (nil with WithoutMetrics).
+// Tracer returns the machine's tracer (nil without WithTrace).
 func (m *Machine) Tracer() *Tracer { return m.tr }
 
-// Metrics returns a snapshot of the aggregate scheduling metrics
-// collected so far: context switches, wakeups, IPIs, and per-enclave
-// message/transaction/agent latency histograms. Returns an empty
-// snapshot when metrics are disabled.
+// Metrics returns a copy of the aggregate scheduling metrics counted so
+// far: engine dispatches, context switches, wakeups, IPIs, injected
+// faults, and per-enclave message/transaction/agent latency histograms.
+// Each layer owns its counters; they start at zero when the machine is
+// built or restored, except the engine's two, which ride in snapshots.
 func (m *Machine) Metrics() *Metrics {
-	ms := m.tr.Metrics()
-	// The engine meters itself; its counts are authoritative regardless
-	// of tracer mode.
-	ms.EngineEvents = m.eng.Executed
-	ms.EngineMaxQueue = m.eng.MaxQueue
-	return ms
+	return &Metrics{
+		EngineEvents:   m.eng.Executed,
+		EngineMaxQueue: m.eng.MaxQueue,
+		CtxSwitches:    m.k.CtxSwitches,
+		Wakeups:        m.k.Wakeups,
+		IPIs:           m.Ghost.IPIs,
+		Faults:         m.k.Faults().Counts(),
+		Enclaves:       m.Ghost.EnclaveMetrics(),
+	}
 }
 
 // TraceTo writes the recorded event trace as Chrome trace_event JSON,

@@ -103,7 +103,7 @@ func (m *Machine) AddSnapshotComponent(key string, c SnapshotComponent) {
 	m.comps = append(m.comps, snap.ComponentEntry{Key: key, C: c})
 }
 
-// SnapshotComponents returns the registered component for key, nil if
+// SnapshotComponent returns the registered component for key, nil if
 // none.
 func (m *Machine) SnapshotComponent(key string) SnapshotComponent {
 	for i := range m.comps {

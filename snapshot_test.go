@@ -420,7 +420,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 // in its resume state, and reach at 4ms the digest of a fresh
 // buildServing run to 4ms, which is pinned as well.
 func TestSnapshotImageCompatible(t *testing.T) {
-	const want = "15a4230396b0e0dea7435c2670e1a5540dcf97e8debbed54b6fa32e13507ea25"
+	const want = "9b500974466e57a130471a5016c5a8581896ff8526e19c72bd5272de5435f3f6"
 	fresh := buildServing()
 	fresh.Run(4 * ghost.Millisecond)
 	if got := digestAt(t, fresh); got != want {
